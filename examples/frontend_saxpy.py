@@ -2,8 +2,7 @@
 
 The frontend (:mod:`repro.frontend`) closes the gap between source
 programs and the scheduler: it parses a Python loop nest with the
-stdlib ``ast`` module (no dependencies; a tree-sitter C parser
-registers itself when that package exists), classifies every name,
+stdlib ``ast`` module (no dependencies), classifies every name,
 runs an exact single-subscript memory dependence test, and lowers the
 body to the same :class:`~repro.graph.ddg.DependenceGraph` the
 workbench loops use — real loop-carried distances included, so RecMII

@@ -138,14 +138,11 @@ def _register_names(
     graph = result.graph
     assert graph is not None  # generate_code rejects graph-less results
     machine = result.machine
-    schedule = PartialSchedule(machine, result.ii)
-    for node in sorted(graph.nodes(), key=lambda n: n.id):
-        schedule.place(
-            node,
-            result.clusters[node.id],
-            result.times[node.id],
-            src_cluster=node.src_cluster,
-        )
+    # Times and clusters are all the lifetimes and the allocator read;
+    # re-reserving the MRT here could reject a verified schedule.
+    schedule = PartialSchedule.from_placements(
+        machine, result.ii, result.times, result.clusters
+    )
     analysis = LifetimeAnalysis(graph, schedule, machine)
     allocations = allocate_registers(graph, schedule, machine, analysis)
     lifetime_of = {lt.value: lt for lt in analysis.lifetimes}

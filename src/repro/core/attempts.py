@@ -1,4 +1,4 @@
-"""Resumable attempt tasks and the speculative parallel II search.
+"""Resumable attempt tasks and the II search over them.
 
 The paper's driver (Figure 4) explores the II ladder one attempt at a
 time, yet every fixed-II attempt is an independent subproblem: it needs
@@ -14,26 +14,26 @@ picklable value:
   :class:`~repro.core.mirsc.MirsC` can finalize without re-running the
   attempt;
 * :class:`AttemptEngine` — the fixed-II attempt loop itself (steps
-  (1)–(6) of Figure 4), extracted from ``MirsC`` so the serial driver
-  and the worker processes execute the identical code path;
+  (1)–(6) of Figure 4), the one code path every runner executes;
 * :class:`SerialAttemptRunner` / :class:`PoolAttemptRunner` — pluggable
   executors for attempt tasks (in-process, or raced over per-attempt
   worker processes with revocable cancellation);
-* :class:`SpeculativeSearchDriver` — races a frontier of K candidate
-  IIs proposed by the configured
-  :class:`~repro.core.search.IISearchPolicy`, retiring every
-  strictly-higher in-flight candidate once a lower II completes
-  feasibly.
+* :class:`SpeculativeSearchDriver` — the II search of
+  :class:`~repro.core.mirsc.MirsC` at every width K: it walks the
+  configured :class:`~repro.core.search.IISearchPolicy` and, for K>1,
+  races a frontier of K candidate IIs, retiring every strictly-higher
+  in-flight candidate once a lower II completes feasibly.  K=1 over
+  the in-process runner is the paper's serial ladder.
 
 Determinism
 -----------
 
-The committed result must be bit-identical to the serial driver's
+The committed result must be bit-identical to the K=1 search's
 regardless of completion order.  The driver never trusts arrival order:
 after every batch of completions it *replays* the search policy from
 ``first_ii`` over the completed outcomes.  The replay either runs off
 the end (search finished — the committed result is the lowest feasible
-II on the replayed path, exactly the serial driver's choice) or stops at
+II on the replayed path, exactly the serial ladder's choice) or stops at
 the first II whose outcome is still unknown; that II anchors the next
 frontier.  Speculative candidates beyond the anchor are predicted by
 feeding the same policy a conservative synthetic failure
@@ -49,7 +49,6 @@ import atexit
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
-import time
 
 from repro.cluster.moves import add_move, next_needed_move
 from repro.cluster.selection import select_cluster
@@ -154,8 +153,7 @@ class AttemptResult:
     """What one executed :class:`AttemptTask` produced.
 
     ``feasible`` is ``None`` exactly when ``outcome.scheduled`` is
-    false.  ``seconds`` is the worker-side wall clock (diagnostic).
-    ``trace`` is the worker-side event trace
+    false.  ``trace`` is the worker-side event trace
     (:meth:`repro.obs.RecordingTracer.export` payload) when the task
     asked for one — shipped back over the runner's private pipe and
     merged into the parent trace; stripped before attempt-cache writes
@@ -165,13 +163,11 @@ class AttemptResult:
     ii: int
     outcome: AttemptOutcome
     feasible: FeasibleState | None = None
-    seconds: float = 0.0
     trace: dict | None = None
 
 
 def run_attempt(task: AttemptTask) -> AttemptResult:
-    """Execute one attempt task (the pool workers' entry point)."""
-    started = time.perf_counter()
+    """Execute one attempt task (every runner's entry point)."""
     tracer: Tracer = NULL_TRACER
     if task.trace:
         tracer = RecordingTracer(tid=f"attempt-ii{task.ii}")
@@ -182,14 +178,13 @@ def run_attempt(task: AttemptTask) -> AttemptResult:
         ii=task.ii,
         outcome=outcome,
         feasible=feasible,
-        seconds=time.perf_counter() - started,
         trace=tracer.export() if task.trace else None,
     )
 
 
 # ----------------------------------------------------------------------
-# The fixed-II attempt loop (Figure 4 steps (1)-(6)), shared verbatim by
-# the serial MirsC driver and the attempt-task workers.
+# The fixed-II attempt loop (Figure 4 steps (1)-(6)), run by every
+# attempt runner through run_attempt.
 # ----------------------------------------------------------------------
 
 
@@ -584,11 +579,11 @@ class SerialAttemptRunner(AttemptRunner):
     """In-process runner: executes only the II the driver actually needs.
 
     Speculative submissions sit in the queue and are simply never run
-    unless they become the needed II, so a K>1 search over this runner
-    does exactly the serial driver's work — it is the degenerate (and
-    always-available) executor, used automatically where nested process
-    pools are impossible (inside ``repro.exec`` pool workers, which are
-    daemonic).
+    unless they become the needed II, so a search over this runner does
+    exactly the serial ladder's work at any K.  It is the runner of
+    every K=1 search (``MirsC``'s default) and the always-available
+    fallback where nested process pools are impossible (inside
+    ``repro.exec`` pool workers, which are daemonic).
     """
 
     def __init__(self) -> None:
@@ -802,14 +797,14 @@ def default_runner(speculation: int) -> AttemptRunner:
 
 @dataclasses.dataclass
 class SearchResult:
-    """What one speculative search established.
+    """What one II search established.
 
     ``path`` is the serial-equivalent attempt sequence (the replayed
-    policy trajectory over real outcomes) — identical to what the
-    serial driver would have executed.  ``executed`` holds *every*
-    completed attempt in II order (speculative extras included), each
-    entry a ``search_trace`` dict with an ``on_path`` marker.  ``best``
-    is the lowest feasible II on the path, or ``None``.
+    policy trajectory over real outcomes) — identical at every K.
+    ``executed`` holds *every* completed attempt as a ``search_trace``
+    dict with an ``on_path`` marker: the path in search order, then the
+    speculative extras (``on_path: false``) in II order.  ``best`` is
+    the lowest feasible II on the path, or ``None``.
     """
 
     best: FeasibleState | None
@@ -819,14 +814,14 @@ class SearchResult:
 
 
 class SpeculativeSearchDriver:
-    """Races K candidate IIs of one search over an attempt runner.
+    """Runs one II search over an attempt runner, racing K candidates.
 
     Args:
         machine: target configuration.
         params: algorithm parameters; ``params.make_search_policy()``
             drives both the committed path and the frontier prediction.
-        speculation: frontier width K (1 degenerates to the serial
-            search executed through the runner).
+        speculation: frontier width K (1 is the serial ladder: one
+            attempt at a time over the in-process runner).
         runner: attempt executor; defaults to :func:`default_runner`.
         cache: per-attempt result cache — a
             :class:`~repro.exec.cache.ResultCache`, ``True``/``False``,
@@ -971,7 +966,6 @@ class SpeculativeSearchDriver:
                             ii=result.ii,
                             kind=result.outcome.kind.value,
                             scheduled=result.outcome.scheduled,
-                            seconds=round(result.seconds, 6),
                         )
                         tracer.merge(result.trace)
                     if self.cache is not None:
@@ -992,11 +986,11 @@ class SpeculativeSearchDriver:
                     best = result.feasible
         on_path = {result.ii for result in path}
         executed = [
-            dict(
-                completed[ii].outcome.as_trace_entry(),
-                on_path=ii in on_path,
-            )
-            for ii in sorted(completed)
+            dict(result.outcome.as_trace_entry(), on_path=True)
+            for result in path
+        ] + [
+            dict(completed[ii].outcome.as_trace_entry(), on_path=False)
+            for ii in sorted(completed.keys() - on_path)
         ]
         stats = SearchStats(
             speculation=self.speculation,

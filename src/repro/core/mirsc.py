@@ -23,12 +23,14 @@ The driver below follows the paper's skeleton step by step::
     }
 
 The fixed-II inner loop (steps (1)-(6)) lives in
-:class:`repro.core.attempts.AttemptEngine`; this class drives the II
-search over it — serially (the paper's ladder, or any registered
-:class:`~repro.core.search.IISearchPolicy`), or speculatively racing K
-candidate IIs over a process pool
-(:class:`~repro.core.attempts.SpeculativeSearchDriver`) with
-bit-identical committed results.
+:class:`repro.core.attempts.AttemptEngine`.  Step (6)'s restart ladder
+(``Re_Initialize(II++)``, or any registered
+:class:`~repro.core.search.IISearchPolicy`) has one implementation, the
+:class:`~repro.core.attempts.SpeculativeSearchDriver`, at every
+speculation width K: K=1 runs it over the in-process
+:class:`~repro.core.attempts.SerialAttemptRunner` (one attempt at a
+time, exactly the paper's ladder), K>1 races K candidate IIs over a
+process pool with bit-identical committed results.
 
 On a single-cluster machine steps C1/C2 degenerate (the cluster is always
 0 and no moves are ever needed) and the algorithm *is* MIRS [33], the
@@ -41,22 +43,17 @@ import dataclasses
 import time
 
 from repro.errors import ConvergenceError
-from repro.core.attempts import (
-    AttemptEngine,
-    FeasibleState,
-    SpeculativeSearchDriver,
-)
+from repro.core.attempts import SearchResult, SpeculativeSearchDriver
 from repro.core.params import MirsParams, max_ii_for
 from repro.core.result import ScheduleResult
-from repro.core.search import AttemptOutcome
-from repro.core.state import SchedulerState, SchedulerStats
+from repro.core.state import SchedulerStats
 from repro.core.verify import verify_schedule
 from repro.graph.ddg import DependenceGraph
 from repro.graph.mii import compute_mii
 from repro.machine.config import MachineConfig
 from repro.machine.resources import OpKind
 from repro.obs import resolve_tracer
-from repro.obs.metrics import SearchStats, outcome_histogram
+from repro.obs.metrics import outcome_histogram
 from repro.order.hrms import hrms_order
 from repro.schedule.lifetimes import LifetimeAnalysis
 from repro.schedule.regalloc import allocate_registers
@@ -110,7 +107,6 @@ class MirsC:
         self.verify = verify
         self.strict = strict
         self.tracer = resolve_tracer(tracer)
-        self._engine = AttemptEngine(machine, self.params, tracer=self.tracer)
 
     # ------------------------------------------------------------------
 
@@ -126,10 +122,12 @@ class MirsC:
         the accepted schedule never needs a re-run.  The full
         ``(ii, outcome)`` trace lands in ``result.stats.search_trace``.
 
-        With an effective speculation width K > 1 the same search runs
-        through the :class:`~repro.core.attempts.SpeculativeSearchDriver`
-        (K attempts raced concurrently, losers cancelled); the committed
-        result is fingerprint-identical by construction.
+        The search runs through the
+        :class:`~repro.core.attempts.SpeculativeSearchDriver` at every
+        speculation width K (K>1 races K attempts concurrently and
+        cancels the losers); the committed result is
+        fingerprint-identical across K by construction, and
+        ``result.stats.search`` always carries the driver's ledger.
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -164,82 +162,22 @@ class MirsC:
         if prepare is not None:
             tracer.end(prepare, mii=mii, limit=limit, nodes=len(pristine))
 
-        if self.params.effective_speculation() > 1:
-            return self._schedule_speculative(
-                pristine, ordering.priority, mii, limit, started
-            )
-
-        search_span = (
-            tracer.begin("phase.search", "schedule", mii=mii, limit=limit)
-            if tracer.enabled
-            else None
-        )
-        policy = self.params.make_search_policy()
-        best: SchedulerState | None = None
-        trace: list[AttemptOutcome] = []
-        attempted: set[int] = set()
-        ii = policy.first_ii(mii, limit)
-        while ii is not None and mii <= ii <= limit and ii not in attempted:
-            attempted.add(ii)
-            state, outcome = self._engine.run(
-                pristine.clone(), ii, ordering.priority
-            )
-            trace.append(outcome)
-            if state is not None and (best is None or state.ii < best.ii):
-                best = state
-            ii = policy.next_ii(outcome)
-        if search_span is not None:
-            tracer.end(
-                search_span,
-                attempts=len(trace),
-                best_ii=None if best is None else best.ii,
-            )
-
-        if best is not None:
-            # restarts counts the attempts that did not produce the
-            # accepted schedule (= failed attempts under linear search).
-            return self._finalize(
-                FeasibleState.from_state(best),
-                mii,
-                len(trace) - 1,
-                time.perf_counter() - started,
-                [o.as_trace_entry() for o in trace],
-            )
-        return self._give_up(
-            pristine, mii, limit,
-            path_iis=[o.ii for o in trace],
-            trace_entries=[o.as_trace_entry() for o in trace],
-            elapsed=time.perf_counter() - started,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _schedule_speculative(
-        self,
-        pristine: DependenceGraph,
-        priorities: dict[int, float],
-        mii: int,
-        limit: int,
-        started: float,
-    ) -> ScheduleResult:
-        tracer = self.tracer
+        speculation = self.params.effective_speculation()
         # Opened before the driver is built: spinning up the attempt
         # pool is part of the search cost, and the phases must tile the
         # schedule span (the summary gates coverage near 1.0).
         search_span = (
             tracer.begin(
                 "phase.search", "schedule",
-                mii=mii, limit=limit,
-                speculation=self.params.effective_speculation(),
+                mii=mii, limit=limit, speculation=speculation,
             )
             if tracer.enabled
             else None
         )
         driver = SpeculativeSearchDriver(
-            self.machine, self.params, self.params.effective_speculation(),
-            tracer=tracer,
+            self.machine, self.params, speculation, tracer=tracer
         )
-        found = driver.search(pristine, priorities, mii, limit)
+        found = driver.search(pristine, ordering.priority, mii, limit)
         if search_span is not None:
             tracer.end(
                 search_span,
@@ -248,47 +186,34 @@ class MirsC:
                 best_ii=None if found.best is None else found.best.ii,
             )
         elapsed = time.perf_counter() - started
-        if found.best is not None:
-            return self._finalize(
-                found.best,
-                mii,
-                len(found.path) - 1,
-                elapsed,
-                found.executed,
-                search=found.stats,
-            )
-        return self._give_up(
-            pristine, mii, limit,
-            path_iis=[r.ii for r in found.path],
-            trace_entries=found.executed,
-            elapsed=elapsed,
-            search=found.stats,
-        )
+        if found.best is None:
+            return self._give_up(pristine, mii, limit, found, elapsed)
+        return self._finalize(found, mii, elapsed)
+
+    # ------------------------------------------------------------------
 
     def _give_up(
         self,
         pristine: DependenceGraph,
         mii: int,
         limit: int,
-        *,
-        path_iis: list[int],
-        trace_entries: list[dict],
+        found: SearchResult,
         elapsed: float,
-        search: SearchStats | None = None,
     ) -> ScheduleResult:
         """Non-convergence: raise (strict) or report (non-strict).
 
-        ``path_iis`` is the serial-equivalent attempt sequence in search
-        order; under jumping policies its last element is *not* the
-        highest II probed (geometric backfill descends), so the error
-        carries both.  The strict-mode message folds in the
-        failure-kind histogram of the attempt trace so the dominant
-        failure mode is visible without re-running under a tracer.
+        ``found.path`` is the attempt sequence in search order; under
+        jumping policies its last element is *not* the highest II probed
+        (geometric backfill descends), so the error carries both.  The
+        strict-mode message folds in the failure-kind histogram of the
+        attempt trace so the dominant failure mode is visible without
+        re-running under a tracer.
         """
+        path_iis = [result.ii for result in found.path]
         if self.strict:
             last_ii = path_iis[-1] if path_iis else mii
             highest_ii = max(path_iis, default=mii)
-            histogram = outcome_histogram(trace_entries)
+            histogram = outcome_histogram(found.executed)
             detail = ", ".join(
                 f"{kind}={count}" for kind, count in histogram.items()
             )
@@ -310,35 +235,18 @@ class MirsC:
             restarts=len(path_iis),
             scheduling_seconds=elapsed,
             stats=SchedulerStats(
-                search_trace=trace_entries,
-                search=search,
+                search_trace=found.executed, search=found.stats
             ),
             trip_count=pristine.trip_count,
         )
 
     # ------------------------------------------------------------------
 
-    def _attempt(
-        self,
-        graph: DependenceGraph,
-        ii: int,
-        priorities: dict[int, float],
-    ) -> tuple[SchedulerState | None, AttemptOutcome]:
-        """One scheduling attempt at a fixed II (delegates to the
-        extracted :class:`~repro.core.attempts.AttemptEngine`)."""
-        return self._engine.run(graph, ii, priorities)
-
-    # ------------------------------------------------------------------
-
     def _finalize(
-        self,
-        feasible: FeasibleState,
-        mii: int,
-        restarts: int,
-        elapsed: float,
-        trace_entries: list[dict] | None = None,
-        search: SearchStats | None = None,
+        self, found: SearchResult, mii: int, elapsed: float
     ) -> ScheduleResult:
+        feasible = found.best
+        assert feasible is not None
         tracer = self.tracer
         finalize_span = (
             tracer.begin("phase.finalize", "schedule", ii=feasible.ii)
@@ -348,10 +256,8 @@ class MirsC:
         graph = feasible.graph
         schedule = feasible.schedule
         stats = feasible.stats
-        if trace_entries is not None:
-            stats.search_trace = trace_entries
-        if search is not None:
-            stats.search = search
+        stats.search_trace = found.executed
+        stats.search = found.stats
         # Batch role: the result is summarised with a from-scratch
         # analysis (the live pressure tracker was already detached when
         # the feasible state was captured).
@@ -387,7 +293,9 @@ class MirsC:
             ),
             move_operations=graph.count_kind(OpKind.MOVE),
             stage_count=max(1, schedule.stage_count()),
-            restarts=restarts,
+            # The path attempts that did not produce the accepted schedule
+            # (= the failed attempts under linear search).
+            restarts=len(found.path) - 1,
             scheduling_seconds=elapsed,
             stats=stats,
             graph=graph,

@@ -21,10 +21,9 @@ Two small dataclasses replace the sprawl:
   memoized, so one session threaded through many driver calls keeps a
   single executor whose stats accumulate.
 
-The old keywords are gone: :func:`fold_legacy_request` /
-:func:`fold_legacy_session` now raise :class:`~repro.errors.ConfigError`
-with a migration hint whenever one is passed.  (They warned with a
-:class:`DeprecationWarning` for two releases first.)
+Every entry point takes ``request=``/``session=`` and resolves them with
+:meth:`ScheduleRequest.coerce` / :meth:`SessionConfig.coerce`; the old
+keywords are gone, so passing one is a plain :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -33,12 +32,6 @@ import dataclasses
 
 from repro.core.params import MirsParams
 from repro.errors import ConfigError
-
-#: Sentinel distinguishing "keyword not passed" from an explicit
-#: ``None`` (both ``params=None`` and ``jobs=None`` were meaningful
-#: values under the legacy signatures).
-_UNSET = object()
-
 
 @dataclasses.dataclass(frozen=True)
 class ScheduleRequest:
@@ -188,73 +181,3 @@ class SessionConfig:
                 jobs=self.jobs, cache=self.cache, progress=self.progress
             )
         return self.executor
-
-
-# ----------------------------------------------------------------------
-# Removed legacy keywords
-# ----------------------------------------------------------------------
-
-
-def _reject_legacy(api: str, names, replacement: str) -> None:
-    raise ConfigError(
-        f"{api}: keyword(s) {', '.join(sorted(names))} were removed "
-        f"after a deprecation period; pass {replacement} instead "
-        f"(e.g. {api}(..., request=ScheduleRequest(search='linear'), "
-        "session=SessionConfig(jobs=4)))"
-    )
-
-
-def fold_legacy_request(
-    api: str,
-    request,
-    *,
-    scheduler=_UNSET,
-    params=_UNSET,
-    search=_UNSET,
-    speculation=_UNSET,
-) -> ScheduleRequest:
-    """Resolve a ``request`` argument; removed legacy kwargs raise."""
-    legacy = {
-        name: value
-        for name, value in (
-            ("scheduler", scheduler),
-            ("params", params),
-            ("search", search),
-            ("speculation", speculation),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        _reject_legacy(
-            api, legacy,
-            "a ScheduleRequest (scheduler/params/search/speculation)",
-        )
-    return ScheduleRequest.coerce(request)
-
-
-def fold_legacy_session(
-    api: str,
-    session,
-    *,
-    jobs=_UNSET,
-    cache=_UNSET,
-    progress=_UNSET,
-    executor=_UNSET,
-) -> SessionConfig:
-    """Resolve a ``session`` argument; removed legacy kwargs raise."""
-    legacy = {
-        name: value
-        for name, value in (
-            ("jobs", jobs),
-            ("cache", cache),
-            ("progress", progress),
-            ("executor", executor),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        _reject_legacy(
-            api, legacy,
-            "a SessionConfig (jobs/cache/progress/executor)",
-        )
-    return SessionConfig.coerce(session)

@@ -24,7 +24,7 @@ from repro.graph.ddg import DepKind, DependenceGraph
 from repro.machine.config import MachineConfig
 from repro.core.params import MirsParams
 from repro.core.priority import PriorityList
-from repro.obs.metrics import LegacySearchStats, SearchStats
+from repro.obs.metrics import SearchStats
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schedule.colouring import IncrementalArcColouring
 from repro.schedule.partial import PartialSchedule
@@ -48,30 +48,18 @@ class SchedulerStats:
     #: (:meth:`repro.core.search.AttemptOutcome.as_trace_entry` dicts).
     #: Diagnostic, like ``scheduling_seconds``: excluded from result
     #: fingerprints so the default policy stays fingerprint-identical
-    #: to the pre-policy scheduler.  Under the speculative driver the
-    #: entries cover *every executed* attempt in II order (speculative
-    #: extras included), each carrying an ``on_path`` marker.
+    #: to the pre-policy scheduler.  Each entry carries an ``on_path``
+    #: marker: the path attempts come first in search order, then any
+    #: speculative extras (``on_path: false``) in II order.
     search_trace: list[dict] = dataclasses.field(default_factory=list)
-    #: Typed II-search ledger (frontier width, launched / executed /
-    #: cancelled attempt counts — see
-    #: :class:`repro.core.attempts.SpeculativeSearchDriver`); ``None``
-    #: for the serial driver.  Diagnostic like ``search_trace``:
-    #: excluded from result fingerprints, so speculative and serial
-    #: runs stay fingerprint-identical.
+    #: Typed II-search ledger (frontier width, runner, launched /
+    #: executed / cancelled attempt counts — see
+    #: :class:`repro.core.attempts.SpeculativeSearchDriver`), set by
+    #: every ``MirsC`` search at every width K; ``None`` only for
+    #: schedulers without an II-search driver (the baseline, the exact
+    #: backend).  Diagnostic like ``search_trace``: excluded from
+    #: result fingerprints, so every K stays fingerprint-identical.
     search: SearchStats | None = None
-
-    @property
-    def search_stats(self) -> LegacySearchStats:
-        """The historical dict shape of :attr:`search`.
-
-        Kept for backwards compatibility: equality/iteration/JSON
-        behave as before, keyed access raises a
-        :class:`~repro.errors.ConfigError` (read the typed
-        :attr:`search` instead).
-        """
-        return LegacySearchStats(
-            {} if self.search is None else self.search.as_dict()
-        )
 
 
 class SchedulerState:

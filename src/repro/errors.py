@@ -5,10 +5,9 @@ exception class; all of them derive from :class:`ReproError` so that a
 single ``except ReproError`` is enough to guard a whole scheduling run.
 
 The module also owns the *optional-dependency gate*
-(:func:`optional_import` / :func:`require_optional`): the lazy-probe /
-typed-error / install-hint pattern the tree-sitter C frontend pioneered
-in ``repro.frontend.cparse``, extracted here so every optional backend
-(tree-sitter, z3) gates identically.
+(:func:`optional_import` / :func:`require_optional`): a lazy probe
+that turns a missing optional package (z3) into a typed error with an
+install hint.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def optional_import(name: str) -> ModuleType | None:
     """Import an optional module, answering ``None`` when it is absent.
 
     The quiet probe half of the gate: availability predicates
-    (``c_parser_available``, ``z3_available``) call this so asking
+    (``z3_available``) call this so asking
     "is the feature there?" never raises.
     """
     try:

@@ -12,13 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.params import MirsParams
-from repro.core.request import (
-    _UNSET,
-    ScheduleRequest,
-    SessionConfig,
-    fold_legacy_request,
-    fold_legacy_session,
-)
+from repro.core.request import ScheduleRequest, SessionConfig
 from repro.eval.runner import SuiteRun, schedule_suite
 from repro.exec.engine import SuiteExecutor
 from repro.graph.mii import resource_mii
@@ -88,16 +82,10 @@ def table1_rows(
     move_latencies: tuple[int, ...] = (1, 3),
     request: ScheduleRequest | MirsParams | None = None,
     session: SessionConfig | SuiteExecutor | None = None,
-    *,
-    params: MirsParams | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
 ) -> Rows:
     """Table 1: unbounded registers - schedule quality head to head."""
-    request = fold_legacy_request(
-        "table1_rows", request, params=params, search=search
-    )
-    session = fold_legacy_session("table1_rows", session, executor=executor)
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
     headers = [
         "k", "Lm", "loops", "not different", "different",
         "sum II [31]", "sum II MIRS-C", "II ratio",
@@ -141,16 +129,10 @@ def table2_rows(
     total_registers: int = 64,
     request: ScheduleRequest | MirsParams | None = None,
     session: SessionConfig | SuiteExecutor | None = None,
-    *,
-    params: MirsParams | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
 ) -> Rows:
     """Table 2: register files constrained to k x z = 64 in total."""
-    request = fold_legacy_request(
-        "table2_rows", request, params=params, search=search
-    )
-    session = fold_legacy_session("table2_rows", session, executor=executor)
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
     headers = [
         "k", "Lm", "not cnvr [31]", "different",
         "sum II [31]", "sum II MIRS-C", "II ratio",
@@ -198,10 +180,6 @@ def table3_rows(
     move_latencies: tuple[int, ...] = (1, 3),
     request: ScheduleRequest | MirsParams | None = None,
     session: SessionConfig | SuiteExecutor | None = None,
-    *,
-    params: MirsParams | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
 ) -> Rows:
     """Table 3: scheduling time of [31] vs MIRS-C.
 
@@ -210,10 +188,8 @@ def table3_rows(
     covers only the loops it converges on (the paper's footnote), while
     MIRS-C also pays for the loops [31] gives up on.
     """
-    request = fold_legacy_request(
-        "table3_rows", request, params=params, search=search
-    )
-    session = fold_legacy_session("table3_rows", session, executor=executor)
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
     configs: list[tuple[int, int | None]] = [
         (1, None), (1, 64), (2, None), (2, 32), (4, None), (4, 16),
     ]
@@ -266,17 +242,11 @@ def figure5_rows(
     request: ScheduleRequest | MirsParams | None = None,
     technology: TechnologyModel | None = None,
     session: SessionConfig | SuiteExecutor | None = None,
-    *,
-    params: MirsParams | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
 ) -> Rows:
     """Figure 5: execution cycles, memory traffic and execution time."""
     technology = technology or TechnologyModel()
-    request = fold_legacy_request(
-        "figure5_rows", request, params=params, search=search
-    )
-    session = fold_legacy_session("figure5_rows", session, executor=executor)
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
     headers = [
         "Lm", "k", "regs/cluster",
         "exec cycles (M)", "memory ops (M)", "exec time (ms)",
@@ -321,16 +291,10 @@ def figure6_rows(
     bus_counts: tuple[int | None, ...] = (2, 3, 4, None),
     request: ScheduleRequest | MirsParams | None = None,
     session: SessionConfig | SuiteExecutor | None = None,
-    *,
-    params: MirsParams | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
 ) -> Rows:
     """Figure 6: replicate a GP2M1-REG32 cluster k times, sweep buses."""
-    request = fold_legacy_request(
-        "figure6_rows", request, params=params, search=search
-    )
-    session = fold_legacy_session("figure6_rows", session, executor=executor)
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
     headers = ["buses", "k", "sum cycles (M)", "speedup vs k=1"]
     rows: list[list] = []
     for buses in bus_counts:
@@ -370,10 +334,6 @@ def simulator_rows(
     iterations: int = 50,
     request: ScheduleRequest | MirsParams | None = None,
     session: SessionConfig | SuiteExecutor | None = None,
-    *,
-    params: MirsParams | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
 ) -> Rows:
     """Measured (simulated) vs analytic (memsim) cycles per loop.
 
@@ -391,10 +351,8 @@ def simulator_rows(
     """
     from repro.sim import run_differential
 
-    request = fold_legacy_request(
-        "simulator_rows", request, params=params, search=search
-    )
-    session = fold_legacy_session("simulator_rows", session, executor=executor)
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
     suite_executor = session.make_executor()
     cache = suite_executor.cache if suite_executor.cache is not None else False
     memory = MemoryModel()
@@ -528,18 +486,12 @@ def figure7_rows(
     request: ScheduleRequest | MirsParams | None = None,
     technology: TechnologyModel | None = None,
     session: SessionConfig | SuiteExecutor | None = None,
-    *,
-    params: MirsParams | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
 ) -> Rows:
     """Figure 7: useful/stall cycles and execution time, with and without
     selective binding prefetching."""
     technology = technology or TechnologyModel()
-    request = fold_legacy_request(
-        "figure7_rows", request, params=params, search=search
-    )
-    session = fold_legacy_session("figure7_rows", session, executor=executor)
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
     memory = MemoryModel(technology)
     headers = [
         "mode", "k", "regs/cluster",

@@ -4,32 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.params import MirsParams
-from repro.core.request import (
-    _UNSET,
-    ScheduleRequest,
-    SessionConfig,
-    fold_legacy_request,
-    fold_legacy_session,
-)
+from repro.core.request import ScheduleRequest, SessionConfig
 from repro.core.result import ScheduleResult
-from repro.exec.cache import ResultCache
 from repro.exec.engine import SuiteExecutor, int_env
 from repro.machine.config import MachineConfig
 from repro.workloads.perfect import SuiteLoop, cached_suite
 
-
-def with_search(params: MirsParams | None, search) -> MirsParams | None:
-    """Fold an II-search spec into a parameter set.
-
-    ``search`` is a registered policy name or an
-    :class:`~repro.core.search.IISearchPolicy` instance; ``None`` leaves
-    ``params`` untouched (including the ``params is None`` "defaults"
-    case, which the exec cache keys treat as ``MirsParams()``).
-    """
-    if search is None:
-        return params
-    return dataclasses.replace(params or MirsParams(), ii_search=search)
 
 #: Environment variable selecting the workbench subset size used by the
 #: benchmarks (the full paper-scale run uses REPRO_BENCH_LOOPS=1258).
@@ -114,13 +94,6 @@ def schedule_suite(
     graphs=None,
     *,
     session: SessionConfig | SuiteExecutor | None = None,
-    scheduler: str = _UNSET,
-    params: MirsParams | None = _UNSET,
-    jobs: int | None = _UNSET,
-    cache: ResultCache | bool | None = _UNSET,
-    executor: SuiteExecutor | None = _UNSET,
-    search=_UNSET,
-    speculation: int | None = _UNSET,
 ) -> SuiteRun:
     """Run one scheduler over a workbench subset.
 
@@ -140,25 +113,9 @@ def schedule_suite(
             :class:`~repro.core.request.SessionConfig` (jobs, cache,
             progress) or a pre-built executor; reuse one session across
             calls to accumulate stats in a single executor.
-
-    The remaining keywords (``scheduler``, ``params``, ``jobs``,
-    ``cache``, ``executor``, ``search``, ``speculation``) are the
-    removed pre-request spellings; passing any of them raises a
-    :class:`~repro.errors.ConfigError` with a migration hint.
     """
-    if isinstance(graphs, MirsParams):
-        # Historical 4th positional was params; rejected with the same
-        # migration hint as the keyword spelling.
-        params = graphs
-        graphs = None
-    request = fold_legacy_request(
-        "schedule_suite", request,
-        scheduler=scheduler, params=params, search=search,
-        speculation=speculation,
-    )
-    session = fold_legacy_session(
-        "schedule_suite", session, jobs=jobs, cache=cache, executor=executor
-    )
+    request = ScheduleRequest.coerce(request)
+    session = SessionConfig.coerce(session)
     results = session.make_executor().run(machine, loops, request, graphs)
     return SuiteRun(
         machine=machine, scheduler_name=request.scheduler, results=results

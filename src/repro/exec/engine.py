@@ -27,12 +27,7 @@ import time
 import warnings
 from collections.abc import Callable, Sequence
 
-from repro.core.params import MirsParams
-from repro.core.request import (
-    _UNSET,
-    ScheduleRequest,
-    fold_legacy_request,
-)
+from repro.core.request import ScheduleRequest
 from repro.core.result import ScheduleResult
 from repro.exec.cache import ResultCache, resolve_cache
 from repro.exec.hashing import cache_key
@@ -87,18 +82,16 @@ def resolve_jobs(jobs: int | None = None) -> int:
 def make_engine(
     machine: MachineConfig,
     request: ScheduleRequest | str | None = None,
-    params: MirsParams | None = _UNSET,
 ):
     """Instantiate the scheduler of a :class:`ScheduleRequest`.
 
     Non-strict: off-default parameter ablations (e.g. a starved budget)
     may legitimately fail to converge; the aggregations already handle
-    unconverged entries.  The historical ``(machine, "mirsc", params)``
-    call shape still works — the name coerces and a positional
-    ``params`` folds in with a :class:`DeprecationWarning`.
+    unconverged entries.
     """
-    request = fold_legacy_request("make_engine", request, params=params)
-    return request.make_scheduler(machine, strict=False)
+    return ScheduleRequest.coerce(request).make_scheduler(
+        machine, strict=False
+    )
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +220,6 @@ class SuiteExecutor:
         loops: Sequence,
         request: ScheduleRequest | str | None = None,
         graphs: Sequence[DependenceGraph] | None = None,
-        *,
-        scheduler: str = _UNSET,
-        params: MirsParams | None = _UNSET,
     ) -> list[ScheduleResult]:
         """Schedule every loop, in order; see module docstring.
 
@@ -237,17 +227,10 @@ class SuiteExecutor:
         with a ``.graph``) or bare dependence graphs; ``graphs``
         optionally replaces them position-for-position (the prefetching
         experiments re-latency the loads this way).  ``request`` also
-        accepts a bare scheduler name (the historical third positional);
-        the old ``scheduler=``/``params=`` keywords are deprecated.
+        accepts a bare scheduler name or :class:`MirsParams` (see
+        :meth:`ScheduleRequest.coerce`).
         """
-        if isinstance(graphs, MirsParams):
-            # Historical 4th positional was params; accept it with the
-            # same deprecation story as the keyword spelling.
-            params = graphs
-            graphs = None
-        request = fold_legacy_request(
-            "SuiteExecutor.run", request, scheduler=scheduler, params=params
-        )
+        request = ScheduleRequest.coerce(request)
         scheduler_name = request.scheduler
         resolved = request.resolved_params()
         tracer = resolve_tracer(request.trace)

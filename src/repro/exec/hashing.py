@@ -213,7 +213,6 @@ def result_fingerprint(result: ScheduleResult) -> str:
     """
     stats = dataclasses.asdict(result.stats)
     stats.pop("search_trace", None)
-    stats.pop("search_stats", None)  # pre-typed-ledger field name
     stats.pop("search", None)
     payload = {
         "loop": result.loop,

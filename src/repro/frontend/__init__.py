@@ -3,8 +3,7 @@
 The frontend closes the gap between source programs and the scheduler:
 
 * :mod:`repro.frontend.parser` — pluggable :class:`LoopParser`
-  protocol; a zero-dependency Python :mod:`ast` parser ships and an
-  optional tree-sitter C parser registers when its dependency exists;
+  protocol; a zero-dependency Python :mod:`ast` parser ships;
 * :mod:`repro.frontend.analyze` — name classification plus an exact
   single-subscript memory dependence test;
 * :mod:`repro.frontend.lower` — versioned-environment lowering to a

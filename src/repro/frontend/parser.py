@@ -2,15 +2,10 @@
 
 The frontend accepts any parser implementing the :class:`LoopParser`
 protocol; implementations register under a language name and a set of
-file suffixes.  Two ship with the repository:
-
-* :class:`PythonAstParser` — zero-dependency, built on :mod:`ast`,
-  always available; the corpus under ``frontend/corpus/`` is written
-  for it.
-* ``repro.frontend.cparse.CParser`` — an optional tree-sitter C parser
-  registered only when the ``tree_sitter`` package (plus a C grammar)
-  is importable; selecting a ``.c`` file without it raises
-  :class:`~repro.errors.FrontendError` with an install hint.
+file suffixes, and a file whose suffix no parser claims raises
+:class:`~repro.errors.FrontendError`.  One ships with the repository:
+:class:`PythonAstParser` — zero-dependency, built on :mod:`ast`; the
+corpus under ``frontend/corpus/`` is written for it.
 
 A parser extracts every function that wraps exactly one countable
 innermost loop over ``range(start, stop, step)`` whose body is
@@ -24,7 +19,6 @@ synthetic identities (:mod:`repro.sim.ops`).
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -50,7 +44,7 @@ DEFAULT_TRIP_COUNT = 120
 class LoopParser(Protocol):
     """What the frontend needs from a language parser."""
 
-    #: Registry name (``"python"``, ``"c"``).
+    #: Registry name (``"python"``).
     name: str
     #: File suffixes this parser claims (``(".py",)``).
     suffixes: tuple[str, ...]
@@ -71,10 +65,6 @@ class LoopParser(Protocol):
 # ----------------------------------------------------------------------
 
 _PARSERS: dict[str, LoopParser] = {}
-#: Deferred registrations: language name -> thunk that builds the parser
-#: (or raises FrontendError when its dependency is missing).
-_LAZY: dict[str, Callable[[], LoopParser]] = {}
-_LAZY_SUFFIXES: dict[str, str] = {}
 
 
 def register_parser(parser: LoopParser) -> None:
@@ -82,42 +72,18 @@ def register_parser(parser: LoopParser) -> None:
     _PARSERS[parser.name] = parser
 
 
-def register_lazy_parser(
-    name: str, suffixes: tuple[str, ...], factory: Callable[[], LoopParser]
-) -> None:
-    """Register a parser whose construction may fail on a missing
-    optional dependency; the factory runs (once) on first use."""
-    _LAZY[name] = factory
-    for suffix in suffixes:
-        _LAZY_SUFFIXES[suffix] = name
-
-
 def available_parsers() -> dict[str, bool]:
     """Language name → whether the parser is usable right now."""
-    status = {name: True for name in _PARSERS}
-    for name, factory in _LAZY.items():
-        if name in status:
-            continue
-        try:
-            factory()
-        except FrontendError:
-            status[name] = False
-        else:
-            status[name] = True
-    return status
+    return {name: True for name in _PARSERS}
 
 
 def get_parser(name: str) -> LoopParser:
     """Look a parser up by language name."""
     if name in _PARSERS:
         return _PARSERS[name]
-    if name in _LAZY:
-        parser = _LAZY[name]()
-        _PARSERS[name] = parser
-        return parser
-    known = sorted(set(_PARSERS) | set(_LAZY))
     raise FrontendError(
-        f"no parser registered for language {name!r} (available: {known})"
+        f"no parser registered for language {name!r} "
+        f"(available: {sorted(_PARSERS)})"
     )
 
 
@@ -127,11 +93,9 @@ def parser_for(path: str | Path) -> LoopParser:
     for parser in _PARSERS.values():
         if suffix in parser.suffixes:
             return parser
-    if suffix in _LAZY_SUFFIXES:
-        return get_parser(_LAZY_SUFFIXES[suffix])
     raise FrontendError(
         f"no parser claims {suffix!r} files (from {path}); "
-        f"known languages: {sorted(set(_PARSERS) | set(_LAZY))}"
+        f"known languages: {sorted(_PARSERS)}"
     )
 
 
@@ -501,12 +465,3 @@ class PythonAstParser:
 
 
 register_parser(PythonAstParser())
-
-
-def _c_parser_factory() -> LoopParser:
-    from repro.frontend.cparse import make_c_parser
-
-    return make_c_parser()
-
-
-register_lazy_parser("c", (".c", ".h"), _c_parser_factory)

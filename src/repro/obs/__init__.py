@@ -23,11 +23,7 @@ import multiprocessing
 import os
 import sys
 
-from repro.obs.metrics import (
-    LegacySearchStats,
-    SearchStats,
-    outcome_histogram,
-)
+from repro.obs.metrics import SearchStats, outcome_histogram
 from repro.obs.tracer import (
     NULL_TRACER,
     TRACE_SCHEMA_VERSION,
@@ -44,7 +40,6 @@ _GLOBAL_TRACER: RecordingTracer | None = None
 _EXIT_HOOKED = False
 
 __all__ = [
-    "LegacySearchStats",
     "NULL_TRACER",
     "NullTracer",
     "RecordingTracer",

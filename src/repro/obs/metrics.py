@@ -1,12 +1,7 @@
 """Typed counters and gauges layered over the tracer.
 
-:class:`SearchStats` replaces the ad-hoc ``stats.search_stats`` dict
-the speculative driver used to assemble: the same ledger as a typed
-dataclass, emitted as tracer counter events.  The transitional dict
-shape survives as :class:`LegacySearchStats` only for equality,
-iteration and JSON serialization; *keyed* access raises
-:class:`~repro.errors.ConfigError` now that the deprecation period is
-over.
+:class:`SearchStats` is the II-search ledger as a typed dataclass,
+emitted as tracer counter events.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ class SearchStats:
         speculation: frontier width K the search ran with.
         runner: class name of the attempt runner that executed it.
         serial_attempts: attempts on the serial-equivalent path (what
-            the serial driver would have executed).
+            the K=1 ladder executes).
         executed_attempts: attempts that actually completed (speculative
             extras included).
         launched: tasks submitted to the runner.
@@ -46,35 +41,6 @@ class SearchStats:
         for name, value in self.as_dict().items():
             if isinstance(value, int):
                 tracer.counter(f"{prefix}.{name}", value)
-
-
-class LegacySearchStats(dict):
-    """``stats.search_stats``'s old dict shape, now closed to keyed reads.
-
-    Equality, iteration and JSON serialization behave exactly like the
-    historical plain dict; *keyed* access (``[...]``/``get``) raises a
-    :class:`~repro.errors.ConfigError` pointing at the typed
-    ``stats.search`` field (it warned with a ``DeprecationWarning``
-    first).
-    """
-
-    @staticmethod
-    def _reject(key) -> None:
-        from repro.errors import ConfigError
-
-        raise ConfigError(
-            f"dict-style access to SchedulerStats.search_stats "
-            f"(search_stats[{key!r}]) was removed after a deprecation "
-            "period; read the typed SchedulerStats.search "
-            "(repro.obs.SearchStats) instead, e.g. stats.search."
-            f"{key if isinstance(key, str) else '<field>'}"
-        )
-
-    def __getitem__(self, key):
-        self._reject(key)
-
-    def get(self, key, default=None):
-        self._reject(key)
 
 
 def outcome_histogram(trace_entries) -> dict[str, int]:

@@ -42,6 +42,35 @@ class PartialSchedule:
         #: schedule's own state changed.
         self.listeners: list = []
 
+    @classmethod
+    def from_placements(
+        cls,
+        machine: MachineConfig,
+        ii: int,
+        times: dict[int, int],
+        clusters: dict[int, int],
+    ) -> PartialSchedule:
+        """A finished schedule's placements, without MRT reservations.
+
+        For the consumers that only read times and clusters (lifetimes,
+        register allocation).  Replaying :meth:`place` would re-run the
+        MRT's first-fit instance choice, which is placement-order-
+        dependent for unpipelined multi-row reservations and can reject
+        a valid packing replayed in another order; the resource check
+        of a finished schedule is :func:`repro.core.verify.verify_schedule`,
+        which solves the instance assignment exactly.
+        """
+        schedule = cls(machine, ii)
+        for node_id in sorted(times):
+            cycle = times[node_id]
+            cluster = clusters[node_id]
+            schedule._time[node_id] = cycle
+            schedule._cluster[node_id] = cluster
+            schedule._seq[node_id] = next(schedule._counter)
+            schedule._rows.setdefault(cycle % ii, {})[node_id] = cluster
+            schedule.prev_cycle[node_id] = cycle
+        return schedule
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

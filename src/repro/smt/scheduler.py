@@ -396,7 +396,9 @@ class SmtScheduler:
         if shift:
             times = {nid: t + shift for nid, t in times.items()}
 
-        schedule = self._install(graph, ii, times, clusters)
+        schedule = PartialSchedule.from_placements(
+            self.machine, ii, times, clusters
+        )
         analysis = LifetimeAnalysis(graph, schedule, self.machine)
         allocations = allocate_registers(graph, schedule, self.machine, analysis)
         register_usage = {c: a.registers_used for c, a in allocations.items()}
@@ -445,28 +447,3 @@ class SmtScheduler:
                     f"{graph.name}: " + "; ".join(violations[:5])
                 )
         return result, {}
-
-    def _install(
-        self,
-        graph: DependenceGraph,
-        ii: int,
-        times: dict[int, int],
-        clusters: dict[int, int],
-    ) -> PartialSchedule:
-        """Install a complete assignment into a PartialSchedule.
-
-        Writes the placement state directly instead of replaying
-        ``place()``: the MRT's online first-fit instance picking is
-        order-dependent for multi-row (unpipelined) reservations and can
-        reject a valid packing replayed in the wrong order — the exact
-        instance assignment is re-checked by ``verify_schedule`` anyway.
-        """
-        schedule = PartialSchedule(self.machine, ii)
-        for nid in sorted(times):
-            cycle = times[nid]
-            schedule._time[nid] = cycle
-            schedule._cluster[nid] = clusters[nid]
-            schedule._seq[nid] = next(schedule._counter)
-            schedule._rows.setdefault(cycle % ii, {})[nid] = clusters[nid]
-            schedule.prev_cycle[nid] = cycle
-        return schedule

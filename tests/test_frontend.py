@@ -2,8 +2,8 @@
 
 Covers the whole pipeline the acceptance criteria name:
 
-* parsing (the supported fragment and its rejections, parser registry,
-  tree-sitter C gating),
+* parsing (the supported fragment and its rejections, the parser
+  registry),
 * name classification and the exact memory dependence test,
 * lowering (scalar recurrences through copy chains, CSE'd loads,
   invariants, MemRef streams),
@@ -236,18 +236,10 @@ class TestParserRegistry:
             parse_source(corpus_path("saxpy"), kernel="nope")
 
     def test_c_parser_gated_cleanly(self):
-        from repro.frontend.cparse import c_parser_available, make_c_parser
-
-        if c_parser_available():  # pragma: no cover - optional dep
-            assert make_c_parser().name == "c"
-        else:
-            # The registry lists it, marks it unavailable, and using it
-            # fails with an install hint - not an ImportError.
-            assert available_parsers().get("c") is False
-            with pytest.raises(FrontendError, match="C parser unavailable"):
-                make_c_parser()
-            with pytest.raises(FrontendError, match="C parser unavailable"):
-                parser_for("kernels.c")
+        # No C parser ships: a .c file fails like any unclaimed suffix.
+        assert "c" not in available_parsers()
+        with pytest.raises(FrontendError, match="no parser claims"):
+            parser_for("kernels.c")
 
 
 # ----------------------------------------------------------------------

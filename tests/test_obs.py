@@ -15,9 +15,8 @@ The contracts pinned here:
   attempt (completed attempts merged from the worker, cancelled ones
   synthesized and marked), with the executed-attempt bound of the
   cancellation accounting;
-* ``SchedulerStats.search_stats`` keeps the old dict shape for
-  equality/iteration/JSON but raises :class:`ConfigError` on keyed
-  access; :class:`ConvergenceError` carries the failure-kind
+* ``SchedulerStats.search`` is the typed ledger at every width K
+  (K=1 included); :class:`ConvergenceError` carries the failure-kind
   histogram; ``repro trace summary`` covers ≥95% of schedule time.
 """
 
@@ -43,7 +42,7 @@ from repro import (
 from repro.core.attempts import SpeculativeSearchDriver
 from repro.core.params import max_ii_for
 from repro.core.request import SessionConfig
-from repro.errors import ConfigError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.eval.runner import schedule_suite
 from repro.exec import result_fingerprint
 from repro.exec.cache import ResultCache
@@ -297,31 +296,22 @@ class TestRaceSpans:
 
 
 # ----------------------------------------------------------------------
-# Legacy dict shim + ConvergenceError histogram
+# Search ledger at K=1 + ConvergenceError histogram
 # ----------------------------------------------------------------------
 
 
 class TestSearchStatsShim:
-    def test_keyed_access_raises_with_migration_hint(self):
-        result = MirsC(UNIFIED, strict=False, speculation=2).schedule(
-            daxpy()
-        )
-        legacy = result.stats.search_stats
-        with pytest.raises(ConfigError, match="SchedulerStats.search"):
-            legacy["speculation"]
-        with pytest.raises(ConfigError, match="removed"):
-            legacy.get("missing", "d")
-        # Equality, iteration and JSON stay silent (the historical uses).
-        assert legacy == result.stats.search.as_dict()
-        assert "launched" in set(legacy)
-        json.dumps(legacy)
-
     def test_serial_shim_is_empty(self):
+        """K=1 runs the same driver: the typed ledger is populated and
+        records no speculative work."""
         result = MirsC(UNIFIED, strict=False, speculation=1).schedule(
             daxpy()
         )
-        assert result.stats.search is None
-        assert result.stats.search_stats == {}
+        stats = result.stats.search
+        assert isinstance(stats, SearchStats)
+        assert (stats.speculation, stats.runner) == (1, "SerialAttemptRunner")
+        assert stats.executed_attempts == stats.serial_attempts
+        assert stats.cancelled == 0
 
 
 class BoundedLinear:

@@ -114,8 +114,9 @@ class TestLinearEquivalence:
         for entry in trace:
             assert set(entry) == {
                 "ii", "kind", "deficit", "budget_left", "suggested_ii",
-                "final_rounds",
+                "final_rounds", "on_path",
             }
+            assert entry["on_path"] is True
 
 
 # ----------------------------------------------------------------------
