@@ -101,9 +101,9 @@ def balance_register_pressure(state: SchedulerState, cluster: int) -> bool:
     schedule = state.schedule
     ii = schedule.ii
     tracker = state.pressure
-    rows = tracker.variant_rows(cluster).copy()
+    rows = tracker.variant_rows(cluster)
     invariants = tracker.invariant_registers(cluster)
-    baseline = int(rows.max()) + invariants if rows.size else invariants
+    baseline = max(rows) + invariants
 
     improved = False
     examined = 0
@@ -159,7 +159,7 @@ def balance_register_pressure(state: SchedulerState, cluster: int) -> bool:
                 )
             probe = stripped.copy()
             fold_lifetime(probe, ii, new_lifetime[0], new_lifetime[1], +1)
-            new_max = int(probe.max()) + invariants
+            new_max = max(probe) + invariants
             if new_max >= baseline:
                 continue
             if schedule.mrt.can_place(

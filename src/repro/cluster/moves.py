@@ -167,7 +167,7 @@ def add_invariant_move(
             raise SchedulingError(
                 f"node {consumer} does not consume invariant {invariant_id}"
             )
-        invariant.consumers.discard(consumer)
+        graph.discard_invariant_consumer(invariant_id, consumer)
         graph.add_edge(move.id, consumer, kind=DepKind.REG, distance=0)
         priority = max(priority, state.pl.priority.get(consumer, 0.0))
     state.pl.push(move.id, priority - 0.5)

@@ -189,7 +189,7 @@ class SchedulerState:
             invariant = self.graph.invariant(move.move_of_invariant)
             dst_cluster = move_cluster
             for edge in out_edges:
-                invariant.consumers.add(edge.dst)
+                self.graph.add_invariant_consumer(invariant.id, edge.dst)
                 if dst_cluster is None and self.schedule.is_scheduled(edge.dst):
                     dst_cluster = self.schedule.cluster(edge.dst)
             # The invariant regains its register in the destination

@@ -25,7 +25,7 @@ import multiprocessing
 import os
 import time
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from repro.core.request import ScheduleRequest
 from repro.core.result import ScheduleResult
@@ -285,6 +285,9 @@ class SuiteExecutor:
                 fresh = self._run_sequential(
                     machine, request, misses, tracer, started
                 )
+            # Cached as each result arrives.  A raising loop does not
+            # stop the others: the runners finish the sweep and re-raise
+            # the first error last, so every finished loop stays cached.
             for position, result in fresh:
                 results[position] = result
                 if self.cache is not None:
@@ -315,13 +318,13 @@ class SuiteExecutor:
         misses: list[tuple[int, DependenceGraph]],
         tracer,
         started: float,
-    ) -> list[tuple[int, ScheduleResult]]:
+    ) -> Iterator[tuple[int, ScheduleResult]]:
         # The engine inherits the resolved tracer directly, so its
         # schedule/attempt spans land in the parent trace unmediated.
         engine = make_engine(
             machine, dataclasses.replace(request, trace=tracer)
         )
-        produced = []
+        failure: Exception | None = None
         for position, graph in misses:
             if tracer.enabled:
                 tracer.instant(
@@ -329,8 +332,14 @@ class SuiteExecutor:
                     loop=graph.name, position=position,
                     wait=round(time.perf_counter() - started, 6),
                 )
-            produced.append((position, engine.schedule(graph)))
-        return produced
+            try:
+                result = engine.schedule(graph)
+            except Exception as exc:  # keep the rest of the sweep
+                failure = failure or exc
+                continue
+            yield position, result
+        if failure is not None:
+            raise failure
 
     def _run_parallel(
         self,
@@ -338,9 +347,8 @@ class SuiteExecutor:
         request: ScheduleRequest,
         misses: list[tuple[int, DependenceGraph]],
         tracer,
-    ) -> list[tuple[int, ScheduleResult]]:
+    ) -> Iterator[tuple[int, ScheduleResult]]:
         workers = min(self.jobs, len(misses))
-        chunksize = max(1, len(misses) // (workers * 4))
         ctx = multiprocessing.get_context()
         # Tracer objects never cross the pool boundary: the workers see
         # a plain True/False and record into their own global tracers,
@@ -351,19 +359,32 @@ class SuiteExecutor:
             initializer=_init_worker,
             initargs=(machine, wire),
         ) as pool:
-            produced = list(
-                pool.imap_unordered(_schedule_item, misses, chunksize=chunksize)
-            )
-        # Reassembled by position: completion order is load-dependent,
-        # the returned order must not be — and the merged trace follows
-        # the same positional order so traces stay deterministic modulo
-        # timestamps regardless of completion order.
-        produced.sort(key=lambda item: item[0])
-        if tracer.enabled:
-            for position, _result, payload in produced:
+            # Yielded in completion order (the caller files results by
+            # position); a loop's error is held back until the others
+            # are in.  One loop per task: with chunks, imap_unordered
+            # ends at the first failing chunk and drops the rest.
+            payloads: list[tuple[int, dict]] = []
+            failure: Exception | None = None
+            produced = pool.imap_unordered(_schedule_item, misses)
+            while True:
+                try:
+                    position, result, payload = next(produced)
+                except StopIteration:
+                    break
+                except Exception as exc:  # one loop's error; keep the rest
+                    failure = failure or exc
+                    continue
                 if payload is not None:
-                    tracer.merge(payload, tid=f"worker:{position}")
-        return [(position, result) for position, result, _ in produced]
+                    payloads.append((position, payload))
+                yield position, result
+        if failure is not None:
+            raise failure
+        # Completion order is load-dependent; the merged trace follows
+        # positional order so traces stay deterministic modulo
+        # timestamps regardless of completion order.
+        if tracer.enabled:
+            for position, payload in sorted(payloads, key=lambda item: item[0]):
+                tracer.merge(payload, tid=f"worker:{position}")
 
     # ------------------------------------------------------------------
 

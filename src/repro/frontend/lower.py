@@ -299,6 +299,9 @@ class _Lowerer:
     def run(self) -> LoweredKernel:
         for stmt in self.kernel.body:
             self._lower_statement(stmt)
+        if len(self.graph) == 0:
+            # Only copies of literals/invariants: nothing to schedule.
+            raise FrontendError(f"{self.where}: loop body has no effect")
 
         scalars: dict[str, ScalarBinding] = {}
         for name in self.roles.loop_scalars:

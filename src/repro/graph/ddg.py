@@ -202,10 +202,12 @@ class DependenceGraph:
         self._invariants: dict[int, Invariant] = {}
         self._next_id = itertools.count()
         #: Mutation observers (the incremental pressure tracker).  Each
-        #: listener may implement ``on_edge_added(edge)``,
-        #: ``on_edge_removed(edge)`` and ``on_node_removed(node_id)``;
-        #: notifications fire *after* the mutation.  Not pickled and not
-        #: cloned: observers attach to one live scheduling attempt.
+        #: listener implements ``on_edge_added(edge)``,
+        #: ``on_edge_removed(edge)``, ``on_node_removed(node_id)`` and
+        #: ``on_invariant_changed(invariant_id)`` (an invariant's
+        #: consumer set changed); notifications fire *after* the
+        #: mutation.  Not pickled and not cloned: observers attach to
+        #: one live scheduling attempt.
         self._listeners: list = []
 
     def __getstate__(self) -> dict:
@@ -245,7 +247,8 @@ class DependenceGraph:
         del self._out[node_id]
         del self._in[node_id]
         for inv in self._invariants.values():
-            inv.consumers.discard(node_id)
+            if node_id in inv.consumers:
+                self.discard_invariant_consumer(inv.id, node_id)
         for listener in self._listeners:
             listener.on_node_removed(node_id)
 
@@ -344,7 +347,23 @@ class DependenceGraph:
         for consumer in inv.consumers:
             self._require(consumer)
         self._invariants[inv_id] = inv
+        self._invariant_changed(inv_id)
         return inv
+
+    def add_invariant_consumer(self, inv_id: int, node_id: int) -> None:
+        """Make a node read an invariant (listeners are notified)."""
+        self._require(node_id)
+        self.invariant(inv_id).consumers.add(node_id)
+        self._invariant_changed(inv_id)
+
+    def discard_invariant_consumer(self, inv_id: int, node_id: int) -> None:
+        """Stop a node reading an invariant (listeners are notified)."""
+        self.invariant(inv_id).consumers.discard(node_id)
+        self._invariant_changed(inv_id)
+
+    def _invariant_changed(self, inv_id: int) -> None:
+        for listener in self._listeners:
+            listener.on_invariant_changed(inv_id)
 
     def invariants(self) -> list[Invariant]:
         return list(self._invariants.values())

@@ -18,7 +18,7 @@ events) and keeps, per cluster:
 
 * the **arc set** - value -> (start row, length) for the ``length % II``
   remainder of each lifetime, with the arc's row bitmask cached;
-* the **row-density array** - how many arcs cross each MRT row, the
+* the **row-density list** - how many arcs cross each MRT row, the
   cut-point profile the greedy's least-pressured starting row is read
   from in O(II) instead of O(arcs * span) per call;
 * the **dedicated count** - summed ``length // II`` full-period
@@ -52,11 +52,10 @@ from __future__ import annotations
 import bisect
 import os
 
-import numpy as np
-
 from repro.graph.ddg import DependenceGraph
 from repro.machine.config import MachineConfig
 from repro.schedule.lifetimes import LifetimeAnalysis
+from repro.schedule.mrt import arc_mask
 from repro.schedule.partial import PartialSchedule
 from repro.schedule.pressure import PressureTracker, fold_lifetime
 
@@ -70,19 +69,6 @@ SELF_CHECK = bool(os.environ.get("REPRO_COLOUR_SELFCHECK"))
 #: allocations; rebuilding on the next query is one batch-sized pass).
 _IDLE_EVENT_FACTOR = 8
 _IDLE_EVENT_FLOOR = 256
-
-
-def arc_mask(start: int, length: int, ii: int) -> int:
-    """The II-bit row-occupancy mask of one arc.
-
-    The single definition both colouring paths use: the batch
-    ``_colour_arcs`` in :mod:`repro.schedule.regalloc` imports it, so
-    batch/incremental mask semantics cannot drift apart.
-    """
-    full = (1 << ii) - 1
-    base = (1 << length) - 1
-    start %= ii
-    return ((base << start) | (base >> (ii - start))) & full
 
 
 class _ClusterBucket:
@@ -102,7 +88,7 @@ class _ClusterBucket:
         #: for cut point c is the rotation starting at the first entry
         #: with start row >= c.
         self.order: list[tuple[int, int, int]] = []
-        self.density = np.zeros(ii, dtype=np.int64)
+        self.density = [0] * ii
         self.masks: dict[int, int] = {}
         self.dirty = True
         self.colour_count = 0
@@ -148,7 +134,7 @@ class _ClusterBucket:
             self.colour_count, self.colours = 0, {}
             self.dirty = False
             return
-        cut = int(self.density.argmin())
+        cut = self.density.index(min(self.density))
         split = bisect.bisect_left(self.order, (cut,))
         masks = self.masks
         occupancies: list[int] = []
@@ -334,9 +320,9 @@ class IncrementalArcColouring:
         """Validate the maintained buckets against the tracker's entries.
 
         Cheap enough to run per event: O(values) dict work plus one
-        vectorized density fold per cluster.  The tracker itself is
-        cross-checked against a from-scratch analysis by its own
-        self-check, so this composes into full from-scratch coverage.
+        density fold per arc.  The tracker itself is cross-checked
+        against a from-scratch analysis by its own self-check, so this
+        composes into full from-scratch coverage.
         """
         ii = self.ii
         expected: dict[int, _ClusterBucket] = {
@@ -363,11 +349,10 @@ class IncrementalArcColouring:
                     f"dedicated registers diverged in cluster {cluster}: "
                     f"engine={got.dedicated} tracker={want.dedicated}"
                 )
-            if not np.array_equal(got.density, want.density):
+            if got.density != want.density:
                 raise AssertionError(
                     f"arc density diverged in cluster {cluster}: "
-                    f"engine={got.density.tolist()} "
-                    f"tracker={want.density.tolist()}"
+                    f"engine={got.density} tracker={want.density}"
                 )
             if got.masks != want.masks:
                 raise AssertionError(

@@ -21,11 +21,24 @@ per event:
 * ``remove_node``: covered by the edge removals plus the schedule
   ``forget``; a defensive cleanup handles direct removals.
 
-Loop-invariant register counts depend on tiny, directly-mutated sets
-(``Invariant.consumers`` and the scheduler's ``spilled_invariants``), so
-they are recomputed on demand - O(invariant consumers) per query, kept
-out of the per-event *update* cost entirely (``max_live_all`` batches
-the count pass when every cluster is queried at once).
+Per cluster the live-variant counts are a scalar **base** (the full II
+periods of every lifetime, which cover all rows alike) plus a plain list
+of II row counts that only the remainder of each lifetime is folded
+into.  MaxLive is ``base + max(rows)`` and the critical row is
+``rows.index(max(rows))`` (numpy's first-index ``argmax`` tie-break).
+At workbench IIs (4-26) a list fold costs less than a numpy call's
+fixed overhead, at stress IIs (about 90) about the same; numpy stays at
+the batch boundary (:class:`LifetimeAnalysis`, the ``pressure`` snapshot
+and the self-check comparisons).  A refresh that leaves a value's
+lifetime where it was folds nothing.
+
+Loop-invariant register counts are cached between the events that can
+change them: a place or eject of a node that reads an invariant, an edit
+of ``Invariant.consumers`` (the graph's ``add_invariant_consumer`` /
+``discard_invariant_consumer`` / ``remove_node`` notify
+``on_invariant_changed``), and a change of the scheduler's
+``spilled_invariants`` set, detected against a snapshot taken when the
+counts were computed.
 
 The tracker's state is asserted bit-identical to a from-scratch
 :class:`LifetimeAnalysis` by :meth:`assert_matches_scratch`; setting the
@@ -53,34 +66,40 @@ from repro.schedule.lifetimes import (
 )
 from repro.schedule.partial import PartialSchedule
 
+# Enum members hoisted: ``DepKind.REG`` is a class-attribute lookup.
+_REG = DepKind.REG
+_STORE = OpKind.STORE
+
 #: When true, every tracker update re-runs the from-scratch cross-check
 #: (``assert_matches_scratch``).  Hundreds of times slower - test-only.
 SELF_CHECK = bool(os.environ.get("REPRO_PRESSURE_SELFCHECK"))
 
 
 def fold_lifetime(
-    rows: np.ndarray, ii: int, start: int, end: int, sign: int
+    rows: list[int], ii: int, start: int, end: int, sign: int
 ) -> None:
     """Add/remove one lifetime [start, end) onto live-count rows in place.
 
     The shared wrap-around fold: ``full`` complete II periods cover every
     row, the remainder covers ``start % ii`` onward (possibly wrapping).
-    Used by the tracker and by the balance heuristic's probe loop.
+    Used by the tracker (remainders only: it keeps full periods in a
+    scalar base), the balance heuristic's probe loop and the colouring
+    engine's density profile.
     """
     length = end - start
     if length <= 0:
         return
     full, rest = divmod(length, ii)
     if full:
-        rows += sign * full
+        rows[:] = [r + sign * full for r in rows]
     if rest:
         first = start % ii
         tail = first + rest
         if tail <= ii:
-            rows[first:tail] += sign
+            rows[first:tail] = [r + sign for r in rows[first:tail]]
         else:
-            rows[first:] += sign
-            rows[: tail - ii] += sign
+            rows[first:] = [r + sign for r in rows[first:]]
+            rows[: tail - ii] = [r + sign for r in rows[: tail - ii]]
 
 
 class _Entry:
@@ -114,8 +133,9 @@ class PressureTracker:
         schedule: the partial schedule (placements observed).
         machine: target machine.
         spilled_invariants: the scheduler's *live* set of
-            (invariant id, cluster) pairs - read on every query, so the
-            caller keeps mutating its own set in place.
+            (invariant id, cluster) pairs - compared against a snapshot
+            on every query, so the caller keeps mutating its own set in
+            place.
         self_check: run the from-scratch cross-check after every event
             (defaults to the module's ``SELF_CHECK`` flag).
     """
@@ -143,10 +163,18 @@ class PressureTracker:
             spilled_invariants if spilled_invariants is not None else set()
         )
         self.self_check = SELF_CHECK if self_check is None else self_check
-        self._rows: dict[int, np.ndarray] = {
-            c: np.zeros(self.ii, dtype=np.int64)
-            for c in range(machine.clusters)
-        }
+        #: Per cluster: full II periods of every lifetime (a scalar
+        #: base) and the remainders folded into II row counts.
+        self._base: list[int] = [0] * machine.clusters
+        self._rows: list[list[int]] = [
+            [0] * self.ii for _ in range(machine.clusters)
+        ]
+        #: Invariant registers per cluster, cached between the events
+        #: that can change them (``None`` = stale), with the invariant
+        #: readers and the spilled set they were computed from.
+        self._invariant_counts: dict[int, int] | None = None
+        self._invariant_readers: set[int] = set()
+        self._spilled_snapshot: frozenset[tuple[int, int]] = frozenset()
         self._entries: dict[int, _Entry] = {}
         self._latency_cache: dict[OpKind, int] = {}
         self._lifetimes_cache: list[ValueLifetime] | None = None
@@ -180,13 +208,17 @@ class PressureTracker:
     # ------------------------------------------------------------------
 
     def on_place(self, node: Node, cluster: int, cycle: int) -> None:
-        if node.kind is not OpKind.STORE:
+        if node.id in self._invariant_readers:
+            self._invariant_counts = None
+        if node.kind is not _STORE:
             self._refresh(node.id)
         self._refresh_producers(node.id)
         if self.self_check:
             self.assert_matches_scratch()
 
     def on_eject(self, node_id: int) -> None:
+        if node_id in self._invariant_readers:
+            self._invariant_counts = None
         entry = self._entries.pop(node_id, None)
         if entry is not None:
             self._fold(entry.cluster, entry.start, entry.end, -1)
@@ -199,13 +231,13 @@ class PressureTracker:
             self.assert_matches_scratch()
 
     def on_edge_added(self, edge: Edge) -> None:
-        if edge.kind is DepKind.REG and edge.src in self._entries:
+        if edge.kind is _REG and edge.src in self._entries:
             self._refresh(edge.src)
             if self.self_check:
                 self.assert_matches_scratch()
 
     def on_edge_removed(self, edge: Edge) -> None:
-        if edge.kind is DepKind.REG and edge.src in self._entries:
+        if edge.kind is _REG and edge.src in self._entries:
             self._refresh(edge.src)
             if self.self_check:
                 self.assert_matches_scratch()
@@ -220,6 +252,10 @@ class PressureTracker:
             self._notify_lifetime(
                 node_id, (entry.cluster, entry.start, entry.end), None
             )
+
+    def on_invariant_changed(self, invariant_id: int) -> None:
+        # An invariant's consumer set changed: recount on the next query.
+        self._invariant_counts = None
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -241,7 +277,7 @@ class PressureTracker:
         producers = {
             edge.src
             for edge in self.graph._in[node_id]
-            if edge.kind is DepKind.REG and edge.src != node_id
+            if edge.kind is _REG and edge.src != node_id
         }
         for src in producers:
             if src in entries:
@@ -259,26 +295,25 @@ class PressureTracker:
             if entry is not None
             else None
         )
-        if entry is not None:
-            self._fold(entry.cluster, entry.start, entry.end, -1)
         times = self.schedule._time
         start = times.get(node_id)
         if start is None:
             if entry is not None:
+                self._fold(entry.cluster, entry.start, entry.end, -1)
                 del self._entries[node_id]
                 self._lifetimes_cache = None
                 self._notify_lifetime(node_id, old, None)
             return
         node = self.graph._nodes[node_id]
-        if node.kind is OpKind.STORE:
-            return
+        if node.kind is _STORE:
+            return  # stores define no value (and never hold an entry)
         cluster = self.schedule._cluster[node_id]
         latency = self._latency(node)
         ii = self.ii
         end = start + latency
         uses: list[tuple[int, int, int]] = []
         for edge in self.graph._out[node_id]:
-            if edge.kind is not DepKind.REG or edge.dst not in times:
+            if edge.kind is not _REG or edge.dst not in times:
                 continue
             use_cycle = times[edge.dst] + ii * edge.distance
             uses.append((use_cycle, edge.dst, edge.distance))
@@ -286,10 +321,14 @@ class PressureTracker:
                 end = use_cycle
         segments = self._build_segments(node, cluster, start, latency, uses)
         self._entries[node_id] = _Entry(cluster, start, end, segments)
-        self._fold(cluster, start, end, +1)
-        self._lifetimes_cache = None
         new = (cluster, start, end)
         if new != old:
+            # An unchanged lifetime leaves the rows and lifetimes as
+            # they are.
+            self._lifetimes_cache = None
+            if entry is not None:
+                self._fold(entry.cluster, entry.start, entry.end, -1)
+            self._fold(cluster, start, end, +1)
             self._notify_lifetime(node_id, old, new)
 
     def _notify_lifetime(
@@ -338,18 +377,32 @@ class PressureTracker:
         return tuple(segments)
 
     def _fold(self, cluster: int, start: int, end: int, sign: int) -> None:
-        """Add/remove one lifetime [start, end) from the row counts."""
-        fold_lifetime(self._rows[cluster], self.ii, start, end, sign)
+        """Add/remove one lifetime [start, end): full II periods go to the
+        cluster's base, only the remainder is folded into its rows."""
+        length = end - start
+        if length <= 0:
+            return
+        ii = self.ii
+        full, rest = divmod(length, ii)
+        if full:
+            self._base[cluster] += sign * full
+        if rest:
+            fold_lifetime(self._rows[cluster], ii, start, start + rest, sign)
 
     # ------------------------------------------------------------------
     # Queries (the LifetimeAnalysis-compatible surface)
     # ------------------------------------------------------------------
 
     def _invariant_registers(self) -> dict[int, int]:
-        """Registers held by loop invariants, per cluster (on demand)."""
-        counts: dict[int, int] = {}
+        """Registers held by loop invariants, per cluster (cached)."""
+        counts = self._invariant_counts
+        if counts is not None and self.spilled_invariants == self._spilled_snapshot:
+            return counts
+        counts = {}
+        readers: set[int] = set()
         schedule = self.schedule
         for inv in self.graph.invariants():
+            readers |= inv.consumers
             clusters = {
                 schedule.cluster(consumer)
                 for consumer in inv.consumers
@@ -359,37 +412,40 @@ class PressureTracker:
                 if (inv.id, cluster) in self.spilled_invariants:
                     continue
                 counts[cluster] = counts.get(cluster, 0) + 1
+        self._invariant_counts = counts
+        self._invariant_readers = readers
+        self._spilled_snapshot = frozenset(self.spilled_invariants)
         return counts
 
     def invariant_registers(self, cluster: int) -> int:
         return self._invariant_registers().get(cluster, 0)
 
-    def variant_rows(self, cluster: int) -> np.ndarray:
-        """The live-variant count per MRT row (the tracker's own array -
-        treat as read-only, or copy before mutating)."""
-        return self._rows[cluster]
+    def variant_rows(self, cluster: int) -> list[int]:
+        """The live-variant count per MRT row (a fresh list)."""
+        base = self._base[cluster]
+        return [base + r for r in self._rows[cluster]]
 
     def max_live(self, cluster: int) -> int:
         self.queries += 1
-        rows = self._rows[cluster]
-        variant = int(rows.max()) if rows.size else 0
-        return variant + self.invariant_registers(cluster)
+        return (
+            self._base[cluster]
+            + max(self._rows[cluster])
+            + self.invariant_registers(cluster)
+        )
 
     def critical_row(self, cluster: int) -> int:
         self.queries += 1
         rows = self._rows[cluster]
-        if rows.size == 0:
-            return 0
-        return int(rows.argmax())
+        return rows.index(max(rows))
 
     def max_live_all(self) -> dict[int, int]:
-        """MaxLive of every cluster, with one invariant-count pass."""
+        """MaxLive of every cluster, with one invariant-count lookup."""
         self.queries += 1
         counts = self._invariant_registers()
+        base = self._base
         return {
-            cluster: (int(rows.max()) if rows.size else 0)
-            + counts.get(cluster, 0)
-            for cluster, rows in self._rows.items()
+            cluster: base[cluster] + max(rows) + counts.get(cluster, 0)
+            for cluster, rows in enumerate(self._rows)
         }
 
     def total_max_live(self) -> int:
@@ -401,10 +457,10 @@ class PressureTracker:
         counts = self._invariant_registers()
         return {
             cluster: ClusterPressure(
-                rows=rows.copy(),
+                rows=np.array(self.variant_rows(cluster), dtype=np.int64),
                 invariant_registers=counts.get(cluster, 0),
             )
-            for cluster, rows in self._rows.items()
+            for cluster in range(self.machine.clusters)
         }
 
     @property
@@ -429,11 +485,12 @@ class PressureTracker:
         return [s for e in self._entries.values() for s in e.segments]
 
     def segments_in_cluster(self, cluster: int) -> list[UseSegment]:
+        # A value's segments all lie in its entry's cluster.
         return [
             s
             for e in self._entries.values()
+            if e.cluster == cluster
             for s in e.segments
-            if s.cluster == cluster
         ]
 
     def lifetime_bounds(self, node_id: int) -> tuple[int, int]:
@@ -467,7 +524,7 @@ class PressureTracker:
         counts = self._invariant_registers()
         for cluster in range(self.machine.clusters):
             expected = scratch.pressure[cluster]
-            got_rows = self._rows[cluster]
+            got_rows = np.array(self.variant_rows(cluster), dtype=np.int64)
             if not np.array_equal(got_rows, expected.rows):
                 raise AssertionError(
                     f"pressure rows diverged in cluster {cluster}: "

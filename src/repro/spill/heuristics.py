@@ -402,7 +402,7 @@ def _spill_invariant(
         array=SPILL_ARRAY_BASE - 1 - invariant.id
     )
     for consumer in local_consumers:
-        invariant.consumers.discard(consumer)
+        state.graph.discard_invariant_consumer(invariant.id, consumer)
         _insert_load(
             state, None, -1, consumer, 0, mem_ref, invariant_id=invariant.id
         )

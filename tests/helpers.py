@@ -208,3 +208,83 @@ def add_random_edge(state, rng: random.Random) -> None:
     state.graph.add_edge(
         src.id, dst.id, kind=DepKind.REG, distance=rng.randint(0, 2)
     )
+
+
+# ----------------------------------------------------------------------
+# Reference modulo reservation table (the oracle of tests/test_mrt.py)
+# ----------------------------------------------------------------------
+
+class ReferenceMRT:
+    """A dict-of-rows MRT: one ``{row: node id}`` dict per resource
+    instance, probed row by row.  Encodes the semantics the bitmask
+    table must reproduce: first-fit instance choice, ``blocking_nodes``
+    taking the instance with the fewest occupants, and self-collision
+    when an occupancy exceeds II."""
+
+    def __init__(self, machine, ii: int):
+        from repro.machine.resources import ResourceClass
+
+        self.machine, self.ii, self.held = machine, ii, {}
+        self.tables = {
+            (r, c): [{} for _ in range(machine.instances(r))]
+            for r in ResourceClass if not r.is_global
+            for c in range(machine.clusters)
+        }
+        if machine.buses is not None:
+            self.tables[(ResourceClass.BUS, -1)] = [{} for _ in range(machine.buses)]
+
+    def groups(self, node, cluster, cycle, src_cluster):
+        from repro.machine.reservation import ClusterRole, reservation_steps
+
+        targets = {
+            ClusterRole.SELF: cluster, ClusterRole.SOURCE: src_cluster,
+            ClusterRole.GLOBAL: -1,
+        }
+        groups = []
+        for step in reservation_steps(node.kind, self.machine):
+            key = (step.resource, targets[step.role])
+            if key not in self.tables:
+                continue  # unbounded buses
+            rows = [(cycle + step.offset + i) % self.ii for i in range(step.duration)]
+            if len(set(rows)) < len(rows):
+                return None
+            groups.append((self.tables[key], rows))
+        return groups
+
+    @staticmethod
+    def free(tables, rows):
+        """First instance with every row free (first-fit), or None."""
+        free = (i for i, t in enumerate(tables) if not any(r in t for r in rows))
+        return next(free, None)
+
+    def can_place(self, node, cluster, cycle, src_cluster=None):
+        groups = self.groups(node, cluster, cycle, src_cluster)
+        return groups is not None and all(
+            self.free(tables, rows) is not None for tables, rows in groups
+        )
+
+    def place(self, node, cluster, cycle, src_cluster=None):
+        self.held[node.id] = []
+        for tables, rows in self.groups(node, cluster, cycle, src_cluster):
+            table = tables[self.free(tables, rows)]
+            table.update({row: node.id for row in rows})
+            self.held[node.id].append((table, rows))
+
+    def remove(self, node_id):
+        for table, rows in self.held.pop(node_id):
+            for row in rows:
+                del table[row]
+
+    def blocking_nodes(self, node, cluster, cycle, src_cluster=None):
+        victims = set()
+        for tables, rows in self.groups(node, cluster, cycle, src_cluster):
+            occupants = [{t[r] for r in rows if r in t} for t in tables]
+            fewest = min(occupants, key=len, default=set())
+            victims |= fewest
+        return victims
+
+    def occupancy_fraction(self, resource, cluster):
+        tables = self.tables.get((resource, -1 if resource.is_global else cluster))
+        if tables is None:
+            return 0.0
+        return sum(map(len, tables)) / (len(tables) * self.ii) if tables else 1.0

@@ -13,6 +13,7 @@ from repro.core.params import MirsParams
 from repro.core.request import SessionConfig
 from repro.eval.experiments import table1_rows
 from repro.eval.runner import bench_loop_count, bench_suite, schedule_suite
+from repro.graph.ddg import DependenceGraph
 from repro.exec import (
     ResultCache,
     SuiteExecutor,
@@ -23,6 +24,8 @@ from repro.exec import (
 )
 from repro.machine.config import paper_configuration
 from repro.workloads.perfect import cached_suite
+
+from tests.helpers import chain
 
 LOOPS = cached_suite(4)
 MACHINE = paper_configuration(2, 32)
@@ -319,6 +322,34 @@ class TestResolvers:
         assert bench_loop_count(7) == 9
         monkeypatch.delenv("REPRO_BENCH_LOOPS")
         assert bench_loop_count(7) == 7
+
+
+class _RaisingGraph(DependenceGraph):
+    """A loop whose scheduling raises (the search clones it first)."""
+
+    def clone(self):
+        raise RuntimeError("injected scheduling failure")
+
+
+class TestFaultIsolation:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_loop_keeps_finished_results_cached(self, tmp_path, jobs):
+        # Enough loops that a chunked pool map would group the raising
+        # loop with others.
+        loops = [chain(length) for length in range(1, 18)]
+        raising = chain(30)
+        raising.__class__ = _RaisingGraph
+        executor = SuiteExecutor(jobs=jobs, cache=ResultCache(tmp_path))
+        with pytest.raises(RuntimeError, match="injected scheduling failure"):
+            executor.run(MACHINE, loops[:3] + [raising] + loops[3:])
+        # Every other loop finished and was cached before the error
+        # surfaced: a re-run schedules nothing.
+        rerun = SuiteExecutor(jobs=jobs, cache=ResultCache(tmp_path))
+        results = rerun.run(MACHINE, loops)
+        assert rerun.stats.cache_hits == len(loops)
+        assert rerun.stats.scheduled == 0
+        fresh = SuiteExecutor(jobs=1, cache=False).run(MACHINE, loops)
+        assert fingerprints(results) == fingerprints(fresh)
 
 
 class TestProgressAndHistory:

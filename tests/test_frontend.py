@@ -441,6 +441,19 @@ class TestLowering:
                 """
             ))
 
+    @pytest.mark.parametrize("body", ["s = 3", "s = c"])
+    def test_body_without_effect_rejected(self, body):
+        # Copies of literals and invariants create no nodes; the loop
+        # used to "schedule" as a 0-node graph at II 1.
+        with pytest.raises(FrontendError, match="loop body has no effect"):
+            lower_kernel(one_kernel(
+                f"""
+                def k(c, n):
+                    for i in range(n):
+                        {body}
+                """
+            ))
+
     def test_corpus_lowers_and_validates(self):
         corpus = load_corpus()
         assert len(corpus) == len(CORPUS_KERNELS) >= 10

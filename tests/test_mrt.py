@@ -1,10 +1,15 @@
 """Unit tests for the modulo reservation table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DependenceGraph, OpKind, SchedulingError, parse_config
+from repro.core.verify import verify_schedule
 from repro.machine.resources import ResourceClass
 from repro.schedule.mrt import ModuloReservationTable
+
+from tests.helpers import ReferenceMRT
 
 
 @pytest.fixture
@@ -157,3 +162,113 @@ class TestBlockingAndOccupancy:
             0.25
         )
         assert mrt.occupancy_fraction(ResourceClass.GP_FU, 1) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Property: the bitmask table answers exactly like the dict-of-rows
+# reference, and every placement set it accepts is a legal packing.
+# ----------------------------------------------------------------------
+
+_KINDS = (
+    OpKind.ADD, OpKind.MUL, OpKind.DIV, OpKind.SQRT,
+    OpKind.LOAD, OpKind.STORE, OpKind.MOVE,
+)
+_MACHINES = {
+    name: parse_config(name, move_latency=3)
+    for name in ("1-(GP8M4-REG64)", "4-(GP2M1-REG32)")
+}
+
+
+def _pool_of_nodes(machine, kinds):
+    graph = DependenceGraph("mrt-property")
+    nodes = []
+    for index, kind in enumerate(kinds):
+        attrs = {}
+        if kind is OpKind.MOVE:
+            attrs["src_cluster"] = index % machine.clusters
+        nodes.append(graph.new_node(kind, **attrs))
+    return nodes
+
+
+def _accepted_set_verifies(machine, ii, nodes, placed):
+    graph = DependenceGraph("placed")
+    for node in nodes:
+        if node.id in placed:
+            graph.add_node(node.clone())
+    times = {nid: cycle for nid, (cluster, cycle) in placed.items()}
+    clusters = {nid: cluster for nid, (cluster, cycle) in placed.items()}
+    return verify_schedule(graph, machine, ii, times, clusters)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("config", sorted(_MACHINES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_operation_sequences_match(self, config, data):
+        machine = _MACHINES[config]
+        ii = data.draw(st.sampled_from([1, 2, 3, 8, 17, 20, 31]), label="ii")
+        kinds = data.draw(
+            st.lists(st.sampled_from(_KINDS), min_size=4, max_size=24),
+            label="kinds",
+        )
+        nodes = _pool_of_nodes(machine, kinds)
+        mrt = ModuloReservationTable(machine, ii)
+        reference = ReferenceMRT(machine, ii)
+        placed: dict[int, tuple[int, int]] = {}
+        clusters = st.one_of(st.just(0), st.integers(0, machine.clusters - 1))
+        # Mostly the first few rows (full rows make ties and conflicts),
+        # sometimes anywhere in three II periods.
+        cycles = st.one_of(
+            st.builds(
+                lambda row, period: row + ii * period,
+                st.integers(0, min(ii, 3) - 1), st.integers(0, 2),
+            ),
+            st.integers(0, 3 * ii),
+        )
+        for _ in range(data.draw(st.integers(1, 80), label="steps")):
+            op = data.draw(
+                st.sampled_from(
+                    ["place", "place", "place", "remove", "blocking",
+                     "blocking", "occupancy"]
+                ),
+                label="op",
+            )
+            node = data.draw(st.sampled_from(nodes), label="node")
+            cluster = data.draw(clusters, label="cluster")
+            cycle = data.draw(cycles, label="cycle")
+            src = node.src_cluster
+            if op == "place" and node.id not in placed:
+                fits = reference.can_place(node, cluster, cycle, src)
+                assert mrt.can_place(node, cluster, cycle, src) == fits
+                assert mrt.feasible_at_ii(node, cluster, src) == (
+                    reference.groups(node, cluster, cycle, src) is not None
+                )
+                if fits:
+                    mrt.place(node, cluster, cycle, src)
+                    reference.place(node, cluster, cycle, src)
+                    placed[node.id] = (cluster, cycle)
+                    assert _accepted_set_verifies(machine, ii, nodes, placed) == []
+                else:
+                    # A refused placement raises and leaves no trace.
+                    with pytest.raises(SchedulingError):
+                        mrt.place(node, cluster, cycle, src)
+                    assert not mrt.holds(node.id)
+            elif op == "remove" and node.id in placed:
+                mrt.remove(node.id)
+                reference.remove(node.id)
+                del placed[node.id]
+            elif op == "blocking" and node.id not in placed:
+                if reference.groups(node, cluster, cycle, src) is None:
+                    with pytest.raises(SchedulingError):
+                        mrt.blocking_nodes(node, cluster, cycle, src)
+                else:
+                    assert mrt.blocking_nodes(
+                        node, cluster, cycle, src
+                    ) == reference.blocking_nodes(node, cluster, cycle, src)
+            elif op == "occupancy":
+                for resource in ResourceClass:
+                    assert mrt.occupancy_fraction(
+                        resource, cluster
+                    ) == reference.occupancy_fraction(resource, cluster)
+            for nid in placed:
+                assert mrt.holds(nid)

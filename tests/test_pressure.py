@@ -25,6 +25,7 @@ from repro.spill.heuristics import check_and_insert_spill
 from repro.workloads.perfect import cached_suite
 
 from tests.helpers import (
+    FOUR_CLUSTER,
     FOUR_CLUSTER_TIGHT,
     TWO_CLUSTER,
     UNIFIED,
@@ -152,3 +153,92 @@ def test_spill_heavy_runs_stay_identical(machine, monkeypatch):
     graph = random_graph(11, size=14)
     result = MirsC(machine, strict=False).schedule(graph)
     assert result is not None
+
+
+def _invariant_heavy_loop(seed: int = 0):
+    """Four short streams whose operations each read 16 of 64 loop
+    invariants: far more invariant registers than a 32-register cluster
+    holds, so MIRS-C re-materializes invariants through moves and drops
+    those moves again when their consumers are ejected."""
+    from repro import LoopBuilder
+
+    rng = random.Random(seed)
+    b = LoopBuilder("invariant-heavy", trip_count=50)
+    invariants = [b.invariant(f"c{i}") for i in range(64)]
+    for stream in range(4):
+        node = b.load(array=stream)
+        for _ in range(2):
+            node = b.mul(node) if rng.random() < 0.5 else b.add(node)
+            for invariant in rng.sample(invariants, 16):
+                invariant.consumers.add(node.id)
+        b.store(node, array=100 + stream)
+    return b.build()
+
+
+def test_cached_invariant_counts_survive_invariant_spills(monkeypatch):
+    """The tracker caches invariant register counts; invariant spilling
+    (consumers handed to a move, the spilled set grows) and invariant
+    move removal (consumers handed back, the spill undone) must
+    invalidate that cache.  The self-check compares the cached counts
+    with a from-scratch analysis after every event."""
+    from repro.core.state import SchedulerState
+
+    removed = []
+    remove_move = SchedulerState.remove_move
+
+    def spy(state, move_id):
+        if state.graph.node(move_id).move_of_invariant is not None:
+            removed.append(move_id)
+        remove_move(state, move_id)
+
+    monkeypatch.setattr(SchedulerState, "remove_move", spy)
+    monkeypatch.setattr(pressure_module, "SELF_CHECK", True)
+    result = MirsC(FOUR_CLUSTER, strict=False).schedule(_invariant_heavy_loop())
+    assert result.converged
+    assert result.stats.invariant_spills > 0
+    assert removed, "no invariant move was removed"
+
+
+def test_invariant_count_cache_tracks_each_invalidating_event():
+    """Each event that can change invariant register counts refreshes
+    the cache on its own: a reader's place/eject, a consumer edit
+    through the graph, and an in-place edit of the spilled set."""
+    from repro import LoopBuilder
+    from repro.schedule.partial import PartialSchedule
+
+    b = LoopBuilder("inv-cache")
+    u = b.add()
+    v = b.mul()
+    w = b.add()
+    inv = b.invariant("c")
+    inv.consumers |= {u.id, v.id}
+    graph = b.build()
+    spilled: set[tuple[int, int]] = set()
+    schedule = PartialSchedule(TWO_CLUSTER, ii=4)
+    tracker = PressureTracker(graph, schedule, TWO_CLUSTER, spilled)
+
+    def counts():
+        tracker.assert_matches_scratch()
+        return [tracker.invariant_registers(c) for c in range(2)]
+
+    assert counts() == [0, 0]
+    schedule.place(graph.node(u.id), 0, 0)
+    schedule.place(graph.node(w.id), 1, 0)
+    assert counts() == [1, 0]
+    schedule.place(graph.node(v.id), 1, 1)
+    assert counts() == [1, 1]
+    spilled.add((inv.id, 0))
+    assert counts() == [0, 1]
+    graph.discard_invariant_consumer(inv.id, v.id)
+    assert counts() == [0, 0]
+    graph.add_invariant_consumer(inv.id, w.id)
+    assert counts() == [0, 1]
+    spilled.clear()
+    assert counts() == [1, 1]
+    schedule.eject(w.id)
+    assert counts() == [1, 0]
+    schedule.forget(u.id)
+    graph.remove_node(u.id)
+    assert counts() == [0, 0]
+    assert inv.consumers == {w.id}
+    tracker.detach()
