@@ -2,7 +2,7 @@
 
 The paper's driver climbs the II one step per failed attempt (Figure 4,
 step (6)).  This example schedules a few workbench loops on a tight
-register file under all three II-search policies and prints what each
+register file under both II-search policies and prints what each
 search did: the II it accepted, how many attempts it spent, and the
 failure kinds along the way (the full trace every result carries in
 ``stats.search_trace``).
@@ -16,7 +16,7 @@ from repro.workloads.perfect import cached_suite
 machine = parse_config("2-(GP4M2-REG16)")
 loops = cached_suite(6)
 
-for search in ("linear", "geometric", "bisection"):
+for search in ("linear", "geometric"):
     engine = MirsC(machine, strict=False, search=search)
     print(f"--- {search} ---")
     for loop in loops:
@@ -33,6 +33,5 @@ for search in ("linear", "geometric", "bisection"):
 print(
     "The linear ladder is the paper-exact default; geometric jumps by "
     "the measured register deficit and finds the same II with fewer "
-    "attempts on pressure-bound loops; bisection spends O(log) attempts "
-    "at some cost in schedule quality on jagged landscapes."
+    "attempts on pressure-bound loops."
 )

@@ -62,7 +62,6 @@ from repro.core.request import ScheduleRequest, SessionConfig
 from repro.core.result import ScheduleResult
 from repro.core.search import (
     AttemptOutcome,
-    BisectionSearch,
     GeometricPressureSearch,
     IISearchPolicy,
     LinearSearch,
@@ -115,7 +114,6 @@ __all__ = [
     "AttemptOutcome",
     "AttemptResult",
     "AttemptTask",
-    "BisectionSearch",
     "CertificationError",
     "CertifierReport",
     "CertifierViolation",

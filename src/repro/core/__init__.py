@@ -6,7 +6,6 @@ from repro.core.priority import PriorityList
 from repro.core.result import ScheduleResult
 from repro.core.search import (
     AttemptOutcome,
-    BisectionSearch,
     GeometricPressureSearch,
     IISearchPolicy,
     LinearSearch,
@@ -19,7 +18,6 @@ from repro.core.verify import verify_schedule
 
 __all__ = [
     "AttemptOutcome",
-    "BisectionSearch",
     "GeometricPressureSearch",
     "IISearchPolicy",
     "LinearSearch",

@@ -48,7 +48,6 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import multiprocessing
-import multiprocessing.connection
 
 from repro.cluster.moves import add_move, next_needed_move
 from repro.cluster.selection import select_cluster
@@ -57,6 +56,7 @@ from repro.core.scheduling import schedule_node
 from repro.core.search import AttemptOutcome, OutcomeKind, predicted_failure
 from repro.core.state import SchedulerState, SchedulerStats
 from repro.errors import SchedulingError
+from repro.exec.workers import Workers
 from repro.graph.ddg import DepKind, DependenceGraph
 from repro.graph.latency import edge_latency
 from repro.machine.config import MachineConfig
@@ -615,144 +615,48 @@ class SerialAttemptRunner(AttemptRunner):
         self._queued.clear()
 
 
-def _attempt_worker(conn) -> None:
-    """Worker-process loop: tasks arrive on the private pipe, results go
-    back on it; EOF (the parent closed its end) retires the worker.
-
-    Exceptions are shipped through the pipe too, so the parent re-raises
-    them at the :meth:`PoolAttemptRunner.wait` call site instead of
-    mistaking a crashed attempt for a cancelled one.
-    """
-    try:
-        while True:
-            try:
-                task = conn.recv()
-            except EOFError:
-                return
-            try:
-                result: object = run_attempt(task)
-            except BaseException as exc:  # noqa: BLE001 - re-raised in parent
-                result = exc
-            conn.send(result)
-    finally:
-        conn.close()
-
-
 class PoolAttemptRunner(AttemptRunner):
-    """Races attempts over persistent workers with *private* pipes.
+    """Races attempts over the kill-safe private-pipe workers of
+    :class:`repro.exec.workers.Workers`, keyed by II.
 
-    Each worker owns a dedicated duplex pipe and carries one attempt at
-    a time, so workers share nothing with each other: revoking an
-    attempt terminates just its worker, and a worker killed mid-write
-    corrupts only its own, already-discarded pipe.  A shared
-    ``multiprocessing.Pool`` cannot revoke that safely — terminating it
-    can kill a worker while it holds the shared result-queue lock,
-    deadlocking the parent's task-handler thread (CPython bpo-29759;
-    the speculative suite hit exactly that hang intermittently).
-
-    Workers are forked lazily on first use, stay warm across searches
-    (one runner serves a whole suite), and are respawned only when a
-    cancellation kills one — the fork cost is per *revocation*, not per
-    attempt.  ``processes`` is the width the runner was sized for; the
-    driver's frontier discipline keeps in-flight attempts at or near
-    it, and submissions beyond it fork extra workers rather than queue
-    — brief over-subscription costs scheduling fairness, never
-    correctness.
+    Revoking an attempt terminates just its worker; warm workers serve
+    the suite's next search, so the fork cost is per *revocation*, not
+    per attempt.  A worker that dies mid-attempt raises
+    :class:`~repro.errors.WorkerDiedError` at :meth:`wait`.
+    ``processes`` is the width the runner was sized for; the driver's
+    frontier discipline keeps in-flight attempts at or near it, and
+    submissions beyond it fork extra workers rather than queue — brief
+    over-subscription costs scheduling fairness, never correctness.
     """
 
     def __init__(self, processes: int):
         self.processes = max(1, processes)
-        self._ctx = multiprocessing.get_context()
-        self._idle: list[tuple] = []  # warm (process, conn) workers
-        self._inflight: dict[int, tuple] = {}  # ii -> (process, conn)
-
-    # ------------------------------------------------------------------
-
-    def _spawn(self) -> tuple:
-        ours, theirs = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_attempt_worker,
-            args=(theirs,),
-            daemon=True,
-            name="repro-attempt-worker",
-        )
-        process.start()
-        # The worker now holds the only other copy of its pipe end;
-        # closing the parent's duplicate makes a dead worker observable
-        # as EOF instead of a silent hang.
-        theirs.close()
-        return process, ours
+        self._workers = Workers()
 
     def pending(self) -> set[int]:
-        return set(self._inflight)
+        return self._workers.pending()
 
     def submit(self, task: AttemptTask) -> None:
-        if task.ii in self._inflight:
-            raise SchedulingError(f"II={task.ii} is already in flight")
-        entry = self._idle.pop() if self._idle else self._spawn()
-        try:
-            entry[1].send(task)
-        except OSError:
-            # A warm worker died between searches; replace it.
-            entry[0].join()
-            entry = self._spawn()
-            entry[1].send(task)
-        self._inflight[task.ii] = entry
+        self._workers.submit(task.ii, run_attempt, task)
 
     def wait(self, needed_ii: int) -> list[AttemptResult]:
-        if needed_ii not in self._inflight:
+        if needed_ii not in self._workers.pending():
             raise SchedulingError(
                 f"attempt runner asked to wait on II={needed_ii}, "
                 "which is not in flight"
             )
-        by_conn = {conn: ii for ii, (_, conn) in self._inflight.items()}
-        ready = multiprocessing.connection.wait(list(by_conn))
-        results: list[AttemptResult] = []
-        for conn in ready:
-            ii = by_conn[conn]
-            entry = self._inflight.pop(ii)
-            try:
-                payload = entry[1].recv()
-            except EOFError:
-                entry[0].join()
-                raise SchedulingError(
-                    f"attempt worker for II={ii} died without a result "
-                    f"(exit code {entry[0].exitcode})"
-                ) from None
-            self._idle.append(entry)
-            if isinstance(payload, BaseException):
-                raise payload
-            results.append(payload)
+        results = [done.result() for done in self._workers.wait()]
         return sorted(results, key=lambda result: result.ii)
 
     def cancel(self, iis) -> int:
-        revoked = 0
-        for ii in list(iis):
-            entry = self._inflight.pop(ii, None)
-            if entry is None:
-                continue
-            process, conn = entry
-            process.terminate()
-            conn.close()
-            process.join()
-            revoked += 1
-        return revoked
+        return self._workers.cancel(iis)
 
     def finish(self) -> None:
         # Idle workers stay warm for the suite's next search.
-        self.cancel(list(self._inflight))
+        self._workers.cancel(self._workers.pending())
 
     def close(self) -> None:
-        self.finish()
-        for process, conn in self._idle:
-            # A plain conn.close() need not deliver EOF: workers forked
-            # later inherit duplicates of this pipe's parent end, so the
-            # idle worker's recv could outlive us.  Idle workers hold no
-            # state — terminate them.
-            process.terminate()
-            conn.close()
-            process.join()
-        self._idle = []
+        self._workers.close()
 
 
 _SHARED_RUNNER: PoolAttemptRunner | None = None

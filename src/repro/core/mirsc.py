@@ -71,8 +71,8 @@ class MirsC:
             hitting the II cap raises :class:`ConvergenceError`; pass
             ``strict=False`` (as the parameter-ablation benchmarks do) to
             get a ``converged=False`` result instead.
-        search: II-search policy — a registered name (``"linear"``,
-            ``"geometric"``, ``"bisection"``) or an
+        search: II-search policy — a registered name (``"linear"`` or
+            ``"geometric"``) or an
             :class:`~repro.core.search.IISearchPolicy` instance.
             Overrides ``params.ii_search``; the default is the paper's
             linear ladder.
@@ -118,9 +118,9 @@ class MirsC:
         :class:`~repro.core.search.AttemptOutcome` is fed back to the
         policy, which names the next II (or ends the search).  The
         lowest II whose attempt scheduled wins — its verified state is
-        retained even when the policy goes on probing (bisection), so
-        the accepted schedule never needs a re-run.  The full
-        ``(ii, outcome)`` trace lands in ``result.stats.search_trace``.
+        retained, so the accepted schedule never needs a re-run.  The
+        full ``(ii, outcome)`` trace lands in
+        ``result.stats.search_trace``.
 
         The search runs through the
         :class:`~repro.core.attempts.SpeculativeSearchDriver` at every

@@ -131,8 +131,8 @@ class MirsParams:
     #: conflicting node (the policy of [6, 16, 28]); the ablation bench
     #: flips this.
     eject_all: bool = False
-    #: II-search policy: a registered name (``"linear"``,
-    #: ``"geometric"``, ``"bisection"``) or an
+    #: II-search policy: a registered name (``"linear"`` or
+    #: ``"geometric"``) or an
     #: :class:`~repro.core.search.IISearchPolicy` instance.  Part of the
     #: scheduling problem's identity: it participates in
     #: :meth:`canonical` and therefore in the ``exec`` cache keys.

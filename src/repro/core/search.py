@@ -21,12 +21,7 @@ consumed, and the scheduler's own suggested next II.  An
 * :class:`GeometricPressureSearch` — jumps sized by the measured
   pressure deficit (never more than ``deficit`` or a fraction of the
   current II), latching into the paper's ladder once the deficit goes
-  small so the first feasible II is always approached from below;
-* :class:`BisectionSearch` — multiplies the II until an attempt
-  succeeds, then bisects between the last failing and the first
-  feasible II (falling back to the ladder when the ascent finds
-  nothing); the driver retains the verified schedule of the lowest
-  feasible point.
+  small so the first feasible II is always approached from below.
 
 The driver records the full ``(ii, outcome)`` trace in
 ``ScheduleResult.stats.search_trace`` and the policy's
@@ -135,9 +130,9 @@ def predicted_failure(ii: int) -> AttemptOutcome:
     The speculative driver (:mod:`repro.core.attempts`) must guess
     which IIs a policy will request *before* the anchoring attempt
     completes.  A budget-exhausted outcome with no measured deficit and
-    the minimal ``suggested_ii`` makes every built-in policy take its
-    smallest forward step (linear and a latched geometric: ``II + 1``;
-    bisection's ascent: the growth step), so the predicted frontier
+    the minimal ``suggested_ii`` makes both built-in policies step to
+    ``II + 1`` (the zero deficit latches geometric), so the predicted
+    frontier
     matches the serial trajectory whenever attempts fail "ordinarily"
     and is merely conservative (wasted speculation, never a wrong
     committed result) when they do not.  The policy object fed these is
@@ -323,104 +318,10 @@ class GeometricPressureSearch:
         )
 
 
-class BisectionSearch:
-    """Overshoot to a feasible II, bisect down — with a ladder fallback.
-
-    Phase 1 (ascent) starts at MII like the ladder, then grows the II
-    multiplicatively (``growth`` per failed attempt, the scheduler's
-    ``suggested_ii`` as a floor) until an attempt schedules or the cap
-    is reached.  Phase 2 bisects the open interval between the highest
-    failing and the lowest feasible II; every probe is a full
-    scheduling attempt, so the accepted point is verified by
-    construction — the driver keeps the schedule of the lowest II that
-    scheduled, which is exactly where the bisection converges.
-
-    Bisection assumes feasibility is monotone in II.  On landscapes
-    where it is not (the stress seeds — see the README section), two
-    protections apply: the bisection itself can only ever *lower* the
-    accepted II below the ascent's first feasible point, and an ascent
-    that reaches the II cap without a single feasible probe falls back
-    to the paper's ladder over the unprobed IIs, so the policy never
-    loses a convergence the linear ladder would have found.  The
-    accepted II can still exceed linear's by up to the overshoot band
-    (~the last ascent step) on non-monotone loops — that is the
-    documented price of its O(log range) attempt count; prefer
-    ``geometric`` when schedule quality matters more than attempts.
-    """
-
-    name = "bisection"
-    #: See :class:`GeometricPressureSearch`: bisection probes require
-    #: failures to mean "II too small", so churn is round-capped.
-    bound_eject_churn = True
-
-    def __init__(self, growth: float = 2.0):
-        if growth <= 1.0:
-            raise ConfigError("growth must be > 1")
-        self.growth = growth
-        self._limit = 0
-        self._mii = 1
-        self._lo = 0  # highest II known to fail
-        self._hi: int | None = None  # lowest II known to schedule
-        self._issued: set[int] = set()
-        self._fallback = False
-
-    def first_ii(self, mii: int, limit: int) -> int:
-        self._limit = limit
-        self._mii = mii
-        self._lo = mii - 1
-        self._hi = None
-        self._issued = {mii}
-        self._fallback = False
-        return mii
-
-    def _issue(self, ii: int) -> int:
-        self._issued.add(ii)
-        return ii
-
-    def _ladder(self, ii: int) -> int | None:
-        """Next unprobed II of the fallback ladder, respecting the cap."""
-        while ii in self._issued:
-            ii += 1
-        return self._issue(ii) if ii <= self._limit else None
-
-    def next_ii(self, outcome: AttemptOutcome) -> int | None:
-        if self._fallback:
-            if outcome.scheduled:
-                return None
-            return self._ladder(max(outcome.ii + 1, outcome.suggested_ii))
-        if outcome.scheduled:
-            self._hi = outcome.ii
-        else:
-            self._lo = max(self._lo, outcome.ii)
-        if self._hi is None:
-            if outcome.ii >= self._limit:
-                # Ascent exhausted without one feasible II: the
-                # landscape is not monotone here — scan the unprobed
-                # IIs like the paper's ladder rather than give up.
-                self._fallback = True
-                return self._ladder(self._mii)
-            ii = max(
-                outcome.ii + 1,
-                outcome.suggested_ii,
-                math.ceil(outcome.ii * self.growth),
-            )
-            return self._issue(min(ii, self._limit))
-        if self._hi - self._lo <= 1:
-            return None  # frontier pinned: accept self._hi
-        return self._issue((self._lo + self._hi) // 2)
-
-    def canonical(self) -> dict:
-        return {"name": self.name, "growth": self.growth}
-
-    def __repr__(self) -> str:
-        return f"BisectionSearch(growth={self.growth})"
-
-
 #: Registry of named policies (CLI ``--ii-search``, ``MirsParams``).
 POLICIES: dict[str, type] = {
     LinearSearch.name: LinearSearch,
     GeometricPressureSearch.name: GeometricPressureSearch,
-    BisectionSearch.name: BisectionSearch,
 }
 
 def make_policy(spec) -> IISearchPolicy:

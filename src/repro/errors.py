@@ -42,6 +42,15 @@ class SchedulingError(ReproError):
     """The scheduler reached an internally inconsistent state."""
 
 
+class WorkerDiedError(SchedulingError):
+    """A worker process died before delivering its task's result.
+
+    Raised by :mod:`repro.exec.workers` for the key of the dead worker
+    (killed, out of memory, crashed in native code) instead of waiting
+    forever for a result that cannot arrive.
+    """
+
+
 class ConvergenceError(SchedulingError):
     """A scheduler failed to find a valid schedule within its II budget.
 

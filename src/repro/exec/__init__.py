@@ -9,9 +9,13 @@ sequentially dominates the cost of every run.  This package provides:
   (graph, machine configuration, algorithm parameters, scheduler);
 * :mod:`repro.exec.cache` - an on-disk :class:`ResultCache` memoizing
   :class:`~repro.core.result.ScheduleResult` objects by those keys;
-* :mod:`repro.exec.engine` - the :class:`SuiteExecutor` that shards a
-  workbench across a ``multiprocessing`` worker pool with deterministic
-  result ordering, consulting the cache before scheduling anything.
+* :mod:`repro.exec.engine` - the :class:`SuiteExecutor` that fans a
+  workbench out over worker processes with deterministic result
+  ordering, consulting the cache before scheduling anything;
+* :mod:`repro.exec.workers` - the package's one process pool: keyed
+  tasks on kill-safe private-pipe workers, shared by the suite fan-out
+  and the speculative II race, where a dead worker fails its own key
+  with a typed error instead of hanging the caller.
 
 ``jobs=1`` with the cache disabled reproduces the original sequential
 code path bit for bit; everything else is a pure optimisation layer.

@@ -8,7 +8,9 @@ this machine" into a shardable, memoizable job list:
    on-disk :class:`~repro.exec.cache.ResultCache`;
 2. the misses are scheduled — sequentially for ``jobs=1`` (the exact
    historical code path: one scheduler instance, loops in order), or
-   sharded over a ``multiprocessing`` pool for ``jobs>1``;
+   with up to ``jobs`` loops in flight on the private-pipe workers of
+   :class:`repro.exec.workers.Workers` (one loop per task; a worker
+   that dies fails only its own loop);
 3. results are reassembled *by position*, so the output order is
    deterministic and identical regardless of worker count or completion
    order, then written back to the cache.
@@ -21,7 +23,7 @@ on every field except wall-clock timing; tests pin this with
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
+import itertools
 import os
 import time
 import warnings
@@ -31,6 +33,7 @@ from repro.core.request import ScheduleRequest
 from repro.core.result import ScheduleResult
 from repro.exec.cache import ResultCache, resolve_cache
 from repro.exec.hashing import cache_key
+from repro.exec.workers import Workers
 from repro.graph.ddg import DependenceGraph
 from repro.machine.config import MachineConfig
 from repro.obs import resolve_tracer
@@ -94,46 +97,25 @@ def make_engine(
     )
 
 
-# ----------------------------------------------------------------------
-# Worker-process plumbing
-# ----------------------------------------------------------------------
-
-_WORKER_ENGINE = None
-
-
-def _init_worker(machine: MachineConfig, request: ScheduleRequest) -> None:
-    """Pool initializer: build the per-process scheduler once.
-
-    A forked worker inherits the parent's process-global tracer along
-    with everything it has recorded (e.g. under ``REPRO_TRACE``); the
-    reset gives this worker an empty tracer of its own so the first
-    per-loop drain cannot replay the parent's history.
-    """
-    from repro.obs import reset_global_tracer
-
-    reset_global_tracer()
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = make_engine(machine, request)
-
-
-def _schedule_item(
-    item: tuple[int, DependenceGraph],
-) -> tuple[int, ScheduleResult, dict | None]:
+def _schedule_loop(
+    item: tuple[MachineConfig, ScheduleRequest, DependenceGraph],
+) -> tuple[ScheduleResult, dict | None]:
     """Schedule one loop in a worker, shipping its trace slice back.
 
-    With tracing on, the worker engine records into the worker's own
-    process-global tracer (tracer objects are never pickled across the
-    pool boundary); draining it after each loop ships exactly that
-    loop's events back through the result tuple, where the parent
-    merges them under a per-position ``worker:N`` thread id.
+    With tracing on, the engine records into the worker's own
+    process-global tracer (tracer objects never cross the pipe);
+    draining it after the loop ships exactly that loop's events back
+    with the result, where the parent merges them under a per-position
+    ``worker:N`` thread id.
     """
-    position, graph = item
-    result = _WORKER_ENGINE.schedule(graph)
+    machine, request, graph = item
+    engine = make_engine(machine, request)
+    result = engine.schedule(graph)
     payload = None
-    tracer = getattr(_WORKER_ENGINE, "tracer", None)
+    tracer = getattr(engine, "tracer", None)
     if getattr(tracer, "enabled", False):
         payload = tracer.drain()
-    return position, result, payload
+    return result, payload
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +224,7 @@ class SuiteExecutor:
             else:
                 work.append(getattr(loop, "graph", loop))
 
-        # Fail fast on an unknown scheduler, before pools or cache IO.
+        # Fail fast on an unknown scheduler, before workers or cache IO.
         make_engine(machine, request)
 
         suite_span = (
@@ -348,35 +330,37 @@ class SuiteExecutor:
         misses: list[tuple[int, DependenceGraph]],
         tracer,
     ) -> Iterator[tuple[int, ScheduleResult]]:
-        workers = min(self.jobs, len(misses))
-        ctx = multiprocessing.get_context()
-        # Tracer objects never cross the pool boundary: the workers see
-        # a plain True/False and record into their own global tracers,
-        # shipping each loop's slice back in the result tuple.
+        # Tracer objects never cross the pipe: the workers see a plain
+        # True/False and record into their own global tracers, shipping
+        # each loop's slice back with its result.
         wire = dataclasses.replace(request, trace=bool(tracer.enabled))
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(machine, wire),
-        ) as pool:
-            # Yielded in completion order (the caller files results by
-            # position); a loop's error is held back until the others
-            # are in.  One loop per task: with chunks, imap_unordered
-            # ends at the first failing chunk and drops the rest.
-            payloads: list[tuple[int, dict]] = []
-            failure: Exception | None = None
-            produced = pool.imap_unordered(_schedule_item, misses)
-            while True:
-                try:
-                    position, result, payload = next(produced)
-                except StopIteration:
-                    break
-                except Exception as exc:  # one loop's error; keep the rest
-                    failure = failure or exc
-                    continue
-                if payload is not None:
-                    payloads.append((position, payload))
-                yield position, result
+        queue = iter(misses)
+        payloads: list[tuple[int, dict]] = []
+        failure: Exception | None = None
+        with Workers() as workers:
+
+            def launch(count: int) -> None:
+                for position, graph in itertools.islice(queue, count):
+                    workers.submit(
+                        position, _schedule_loop, (machine, wire, graph)
+                    )
+
+            # At most ``jobs`` loops in flight, one loop per task,
+            # yielded in completion order (the caller files results by
+            # position); a loop's error, or its worker's death, is held
+            # back until the others are in.
+            launch(self.jobs)
+            while workers.pending():
+                for done in workers.wait():
+                    launch(1)
+                    try:
+                        result, payload = done.result()
+                    except Exception as exc:  # one loop's error; keep the rest
+                        failure = failure or exc
+                        continue
+                    if payload is not None:
+                        payloads.append((done.key, payload))
+                    yield done.key, result
         if failure is not None:
             raise failure
         # Completion order is load-dependent; the merged trace follows

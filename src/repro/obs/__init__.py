@@ -75,7 +75,7 @@ def global_tracer() -> RecordingTracer:
     When ``REPRO_TRACE`` names a path, the trace is exported at
     interpreter exit — from the main process only: daemonic pool
     workers record into their own global tracer and ship events back
-    through the executor's result tuples instead.
+    with each task's result instead.
     """
     global _GLOBAL_TRACER, _EXIT_HOOKED
     if _GLOBAL_TRACER is None:
@@ -90,9 +90,9 @@ def reset_global_tracer() -> None:
     """Drop the process-global tracer (a fresh one appears on next use).
 
     Forked pool workers inherit the parent's global tracer *with* its
-    recorded history; the worker initializer calls this so per-loop
-    drains ship only events the worker itself recorded, never a copy
-    of everything the parent traced before the fork.
+    recorded history; each worker calls this once when it starts, so
+    per-loop drains ship only events the worker itself recorded, never
+    a copy of everything the parent traced before the fork.
     """
     global _GLOBAL_TRACER
     _GLOBAL_TRACER = None

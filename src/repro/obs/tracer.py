@@ -18,8 +18,8 @@ ledger).  Two implementations exist:
 
 Cross-process merging: a worker records into its own
 :class:`RecordingTracer` and ships :meth:`RecordingTracer.export` (a
-plain-dict payload) back over whatever channel already exists (the
-speculative runners' private pipes, the exec pool's result tuples); the
+plain-dict payload) back with its task's result over the private pipe
+of its :class:`repro.exec.workers.Workers` worker; the
 parent folds it in with :meth:`Tracer.merge`, re-timing events onto its
 own clock via the recorded wall epochs.
 """

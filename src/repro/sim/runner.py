@@ -1,11 +1,11 @@
-"""Suite-scale simulation: memoized, optionally sharded over workers.
+"""Suite-scale simulation, memoized.
 
-Mirrors the shape of :mod:`repro.exec.engine` for the execution stage:
-every (schedule, trip count, memory system) problem is keyed by
+Mirrors the cache side of :mod:`repro.exec.engine` for the execution
+stage: every (schedule, trip count, memory system) problem is keyed by
 :func:`repro.exec.hashing.simulation_cache_key` and probed against the
-on-disk :class:`~repro.exec.cache.ResultCache`; misses run locally or on
-a ``multiprocessing`` pool, and results are reassembled by position so
-the output order never depends on worker count.
+on-disk :class:`~repro.exec.cache.ResultCache`; misses run in process,
+in order (a simulation costs a fraction of the scheduling that produced
+its input).
 
 Only the compact :class:`~repro.sim.result.SimulationResult` is cached
 and returned — reruns that need the full end state (differential
@@ -14,12 +14,10 @@ validation, debugging) use :mod:`repro.sim.vliw` directly.
 
 from __future__ import annotations
 
-import multiprocessing
 from collections.abc import Sequence
 
 from repro.core.result import ScheduleResult
 from repro.exec.cache import ResultCache, resolve_cache
-from repro.exec.engine import resolve_jobs
 from repro.exec.hashing import simulation_cache_key
 from repro.machine.technology import TechnologyModel
 from repro.memsim.cache import CacheConfig
@@ -53,11 +51,6 @@ def simulate_schedule(
     return result
 
 
-# ----------------------------------------------------------------------
-# Worker-process plumbing
-# ----------------------------------------------------------------------
-
-
 def _simulate_item(
     item: tuple[int, ScheduleResult, int, CacheConfig | None, TechnologyModel | None],
 ) -> tuple[int, SimulationResult]:
@@ -72,7 +65,6 @@ def simulate_many(
     schedules: Sequence[ScheduleResult],
     iterations: int,
     *,
-    jobs: int | None = None,
     cache: ResultCache | bool | None = None,
     cache_config: CacheConfig | None = None,
     technology: TechnologyModel | None = None,
@@ -85,7 +77,6 @@ def simulate_many(
     Args:
         schedules: converged schedule results (with graphs).
         iterations: trip count to simulate for each.
-        jobs: worker processes (``None``: ``REPRO_JOBS`` env or 1).
         cache: result-cache selector, as in
             :func:`repro.exec.cache.resolve_cache`.
         cache_config / technology: memory-system parameters.
@@ -102,22 +93,13 @@ def simulate_many(
             if isinstance(cached, SimulationResult):
                 results[position] = cached
 
-    misses = [
-        (position, schedule, iterations, cache_config, technology)
+    produced = [
+        _simulate_item(
+            (position, schedule, iterations, cache_config, technology)
+        )
         for position, schedule in enumerate(schedules)
         if position not in results
     ]
-    workers = min(resolve_jobs(jobs), len(misses)) if misses else 0
-    if workers > 1:
-        ctx = multiprocessing.get_context()
-        chunksize = max(1, len(misses) // (workers * 4))
-        with ctx.Pool(processes=workers) as pool:
-            produced = list(
-                pool.imap_unordered(_simulate_item, misses, chunksize=chunksize)
-            )
-    else:
-        produced = [_simulate_item(item) for item in misses]
-
     for position, result in produced:
         results[position] = result
         if store is not None:

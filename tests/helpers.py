@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 
 from hypothesis import strategies as st
 
@@ -13,6 +15,27 @@ UNIFIED_SMALL = parse_config("1-(GP8M4-REG16)")
 TWO_CLUSTER = parse_config("2-(GP4M2-REG32)")
 FOUR_CLUSTER = parse_config("4-(GP2M1-REG32)")
 FOUR_CLUSTER_TIGHT = parse_config("4-(GP2M1-REG16)")
+
+
+class DeadlineExceeded(BaseException):
+    """Raised by :func:`deadline`.  A ``BaseException``, so no
+    ``except Exception`` between the alarm and the test can swallow it."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Turn a hang inside the block into a test failure (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def daxpy(trip_count: int = 100) -> DependenceGraph:

@@ -107,7 +107,14 @@ class TestRandomizedEventSequences:
         rng = random.Random(seed)
         machine = MACHINES[seed % len(MACHINES)]
         state = fresh_state(seed, machine)
-        engine = state.colouring
+        # Self-checking engines never idle out by design, and the
+        # colour self-check CI leg turns them on for the whole suite:
+        # this test's engine is built without it.
+        state.colouring.detach()
+        engine = state.colouring = IncrementalArcColouring(
+            state.graph, state.schedule, machine, state.pressure,
+            self_check=False,
+        )
         engine.registers_used_all()  # force an eager build
         assert engine._buckets is not None
         # Overwhelm the idle valve with query-free churn.

@@ -6,12 +6,17 @@ re-invoking the scheduler; and cache keys react to every semantic
 input.
 """
 
+import os
+import signal
+
 import pytest
 
+import repro.exec.engine as engine_module
 from repro.core.mirsc import MirsC
 from repro.core.params import MirsParams
 from repro.core.request import SessionConfig
 from repro.eval.experiments import table1_rows
+from repro.errors import WorkerDiedError
 from repro.eval.runner import bench_loop_count, bench_suite, schedule_suite
 from repro.graph.ddg import DependenceGraph
 from repro.exec import (
@@ -25,7 +30,7 @@ from repro.exec import (
 from repro.machine.config import paper_configuration
 from repro.workloads.perfect import cached_suite
 
-from tests.helpers import chain
+from tests.helpers import chain, deadline
 
 LOOPS = cached_suite(4)
 MACHINE = paper_configuration(2, 32)
@@ -349,6 +354,45 @@ class TestFaultIsolation:
         assert rerun.stats.cache_hits == len(loops)
         assert rerun.stats.scheduled == 0
         fresh = SuiteExecutor(jobs=1, cache=False).run(MACHINE, loops)
+        assert fingerprints(results) == fingerprints(fresh)
+
+    def test_killed_worker_costs_only_its_loop(self, tmp_path, monkeypatch):
+        loops = [chain(length) for length in range(1, 8)]
+        victim = chain(30)  # the only loop of its size
+        suite = loops[:3] + [victim] + loops[3:]
+        parent = os.getpid()
+        real_make_engine = engine_module.make_engine
+
+        def make_engine(machine, request=None):
+            # Inherited by the forked workers; only there does the
+            # engine SIGKILL its own process on the victim loop.
+            engine = real_make_engine(machine, request)
+            if os.getpid() != parent:
+                schedule = engine.schedule
+
+                def schedule_or_die(graph):
+                    if len(graph) == len(victim):
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return schedule(graph)
+
+                engine.schedule = schedule_or_die
+            return engine
+
+        monkeypatch.setattr(engine_module, "make_engine", make_engine)
+        executor = SuiteExecutor(jobs=2, cache=ResultCache(tmp_path))
+        with deadline(60), pytest.raises(
+            WorkerDiedError, match=r"died without a result \(exit code -9\)"
+        ):
+            executor.run(MACHINE, suite)
+        monkeypatch.undo()
+        # Every other loop finished and was cached: the re-run schedules
+        # the victim alone.
+        rerun = SuiteExecutor(jobs=2, cache=ResultCache(tmp_path))
+        with deadline(60):
+            results = rerun.run(MACHINE, suite)
+        assert rerun.stats.cache_hits == len(loops)
+        assert rerun.stats.scheduled == 1
+        fresh = SuiteExecutor(jobs=1, cache=False).run(MACHINE, suite)
         assert fingerprints(results) == fingerprints(fresh)
 
 

@@ -6,9 +6,8 @@ Pins the PR's contract:
   bit-for-bit — fingerprints are compared against a file captured from
   the hardwired-ladder driver on the 16-loop workbench (both machine
   configurations);
-* the jump policies stay within their documented bounds of linear's II
-  (geometric: identical; bisection: bounded overshoot, never a lost
-  convergence) on the workbench and the stress seeds;
+* the geometric jump policy finds linear's II (its documented bound)
+  on the workbench and the stress seeds;
 * every result carries the full ``(ii, outcome)`` search trace;
 * the policy participates in the exec cache keys: same policy + inputs
   is a warm hit, a different policy is a miss.
@@ -22,7 +21,6 @@ import pytest
 
 from repro import (
     AttemptOutcome,
-    BisectionSearch,
     ConfigError,
     ConvergenceError,
     GeometricPressureSearch,
@@ -127,11 +125,8 @@ class TestLinearEquivalence:
 class TestPolicyBounds:
     """The documented bounds (see README "Choosing an II search policy").
 
-    * geometric: same convergence verdict and the *same II* as linear —
-      its jumps approach the first feasible II strictly from below;
-    * bisection: same convergence verdict; II at most
-      ``max(linear + 2, 1.5 * linear)`` (the ascent-overshoot band on
-      non-monotone landscapes).
+    Geometric: same convergence verdict and the *same II* as linear —
+    its jumps approach the first feasible II strictly from below.
     """
 
     @pytest.mark.parametrize("config", CONFIGS)
@@ -142,18 +137,6 @@ class TestPolicyBounds:
             lin = linear_suite(config)[loop.graph.name]
             geo = engine.schedule(loop.graph)
             assert (geo.converged, geo.ii) == (lin.converged, lin.ii), (
-                loop.graph.name
-            )
-
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_bisection_bounded_on_workbench(self, config):
-        machine = parse_config(config)
-        engine = MirsC(machine, strict=False, search="bisection")
-        for loop in cached_suite(16):
-            lin = linear_suite(config)[loop.graph.name]
-            bis = engine.schedule(loop.graph)
-            assert bis.converged == lin.converged, loop.graph.name
-            assert bis.ii <= max(lin.ii + 2, round(1.5 * lin.ii)), (
                 loop.graph.name
             )
 
@@ -170,14 +153,6 @@ class TestPolicyBounds:
         geo = stress_results("geometric", 0)
         # ~147 linear attempts on stress0; the deficit jumps cut >2/3.
         assert len(geo.stats.search_trace) <= len(lin.stats.search_trace) // 3
-
-    @pytest.mark.parametrize("index", [0, 3])
-    def test_bisection_bounded_on_stress_seeds(self, index):
-        lin = stress_results("linear", index)
-        bis = stress_results("bisection", index)
-        assert bis.converged == lin.converged
-        assert bis.ii <= max(lin.ii + 2, round(1.5 * lin.ii))
-
 
 # ----------------------------------------------------------------------
 # Satellite: stress2 is cleanly reported, and the round cap is a param
@@ -329,16 +304,16 @@ class TestCacheKeys:
 
 class TestPolicyUnits:
     def test_registry_and_factory(self):
-        assert set(POLICIES) == {"linear", "geometric", "bisection"}
+        assert set(POLICIES) == {"linear", "geometric"}
         for name, cls in POLICIES.items():
             policy = make_policy(name)
             assert isinstance(policy, cls)
             assert isinstance(policy, IISearchPolicy)
             assert policy.canonical()["name"] == name
-        instance = BisectionSearch(growth=3.0)
+        instance = GeometricPressureSearch(jump_fraction=0.5)
         assert make_policy(instance) is instance
-        assert canonical_search("bisection") == {
-            "name": "bisection", "growth": 2.0,
+        assert canonical_search("geometric") == {
+            "name": "geometric", "jump_fraction": 0.25, "tail_deficit": 40,
         }
         with pytest.raises(ConfigError):
             make_policy("simulated-annealing")
@@ -352,8 +327,6 @@ class TestPolicyUnits:
             GeometricPressureSearch(jump_fraction=0.0)
         with pytest.raises(ConfigError):
             GeometricPressureSearch(tail_deficit=0)
-        with pytest.raises(ConfigError):
-            BisectionSearch(growth=1.0)
 
     def test_linear_ladder(self):
         policy = LinearSearch()
@@ -405,43 +378,15 @@ class TestPolicyUnits:
         assert policy.next_ii(outcome(ii=12, deficit=0)) == 11
         assert policy.next_ii(outcome(ii=11, deficit=0)) is None
 
-    def test_bisection_ascent_then_bisect(self):
-        policy = BisectionSearch()
-        assert policy.first_ii(10, 1000) == 10
-        assert policy.next_ii(outcome(ii=10)) == 20
-        assert policy.next_ii(outcome(ii=20)) == 40
-        # First success: bisect (20, 40).
-        assert policy.next_ii(
-            outcome(ii=40, kind=OutcomeKind.SCHEDULED)
-        ) == 30
-        assert policy.next_ii(outcome(ii=30)) == 35
-        assert policy.next_ii(
-            outcome(ii=35, kind=OutcomeKind.SCHEDULED)
-        ) == 32
-        assert policy.next_ii(outcome(ii=32)) == 33
-        assert policy.next_ii(outcome(ii=33)) == 34
-        assert policy.next_ii(outcome(ii=34)) is None  # accepts 35
-
-    def test_bisection_falls_back_to_ladder(self):
-        policy = BisectionSearch()
-        assert policy.first_ii(10, 25) == 10
-        assert policy.next_ii(outcome(ii=10)) == 20
-        assert policy.next_ii(outcome(ii=20)) == 25  # clamped to the cap
-        # Ascent exhausted with no feasible point: ladder over the
-        # unprobed IIs, lowest-first.
-        assert policy.next_ii(outcome(ii=25)) == 11
-        for ii, expected in [(11, 12), (12, 13)]:
-            assert policy.next_ii(outcome(ii=ii)) == expected
-        assert policy.next_ii(
-            outcome(ii=13, kind=OutcomeKind.SCHEDULED)
-        ) is None
-
     def test_first_ii_resets_state(self):
-        policy = BisectionSearch()
-        policy.first_ii(10, 100)
-        policy.next_ii(outcome(ii=10))
-        assert policy.first_ii(5, 50) == 5
-        assert policy.next_ii(outcome(ii=5)) == 10
+        policy = GeometricPressureSearch()
+        policy.first_ii(10, 11)
+        assert policy.next_ii(outcome(ii=10, deficit=5)) == 11  # latched
+        assert policy.next_ii(outcome(ii=11, deficit=5)) is None  # backfill
+        # A new search forgets the latch, the backfill and the issued
+        # IIs: a large deficit jumps again.
+        assert policy.first_ii(100, 1000) == 100
+        assert policy.next_ii(outcome(ii=100, deficit=60)) == 125
 
     def test_outcome_helpers(self):
         o = outcome(ii=9, kind=OutcomeKind.ROUND_CAP, deficit=7)
