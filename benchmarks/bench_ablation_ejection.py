@@ -11,6 +11,7 @@ conflicts frequent.
 from conftest import loops_for
 
 from repro.core.params import MirsParams
+from repro.core.request import ScheduleRequest
 from repro.eval.reporting import render_table
 from repro.eval.runner import schedule_suite
 from repro.machine.config import paper_configuration
@@ -25,7 +26,10 @@ def _sweep(loops, executor=None):
             ("single victim (paper)", MirsParams()),
             ("eject all [6,16,28]", MirsParams(eject_all=True)),
         ):
-            run = schedule_suite(machine, loops, params, session=executor)
+            run = schedule_suite(
+                machine, loops, ScheduleRequest(params=params),
+                session=executor,
+            )
             rows.append(
                 [
                     k,

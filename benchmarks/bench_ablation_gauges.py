@@ -11,6 +11,7 @@ traffic against schedule freedom.
 from conftest import loops_for
 
 from repro.core.params import MirsParams
+from repro.core.request import ScheduleRequest
 from repro.eval.reporting import render_table
 from repro.eval.runner import schedule_suite
 from repro.machine.config import paper_configuration
@@ -32,7 +33,9 @@ def _sweep(loops, executor=None):
     ]
     rows = []
     for label, params in variants:
-        run = schedule_suite(machine, loops, params, session=executor)
+        run = schedule_suite(
+            machine, loops, ScheduleRequest(params=params), session=executor
+        )
         rows.append(
             [
                 label,

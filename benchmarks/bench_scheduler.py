@@ -88,12 +88,13 @@ import time
 
 from conftest import RESULTS_DIR, loops_for
 
-from repro import LoopBuilder, ScheduleRequest, SessionConfig
+from repro import LoopBuilder, MirsParams, ScheduleRequest
 from repro.core.mirsc import MirsC
 from repro.obs import NULL_TRACER, RecordingTracer, Tracer
 from repro.eval.reporting import render_table
 from repro.eval.runner import schedule_suite
-from repro.exec import result_fingerprint
+from repro.env import env_flag, env_str
+from repro.exec import SuiteExecutor, result_fingerprint
 from repro.machine.config import parse_config
 from repro.workloads.perfect import cached_suite
 from repro.workloads.stress import stress_suite
@@ -153,14 +154,13 @@ def measure_calibration(rounds: int = 5) -> float:
     return best
 
 
-def _run_suite(machine_name: str, loops, search: str | None = None) -> dict:
+def _run_suite(machine_name: str, loops, search: str = "linear") -> dict:
     """One timed, cache-free, sequential schedule_suite run."""
     machine = parse_config(machine_name)
-    session = SessionConfig(jobs=1, cache=False)
+    session = SuiteExecutor(jobs=1, cache=False)
+    request = ScheduleRequest(params=MirsParams(ii_search=search))
     started = time.perf_counter()
-    run = schedule_suite(
-        machine, loops, ScheduleRequest(search=search), session=session
-    )
+    run = schedule_suite(machine, loops, request, session=session)
     wall = time.perf_counter() - started
     placements = sum(r.stats.nodes_scheduled for r in run.results)
     return {
@@ -335,11 +335,11 @@ def _measure_allocator(stress_loops) -> dict:
         # the clustered workbench (many spill-heavy loops whose final
         # regime queries the allocator every round), so the gate's call
         # sample stays large even under the CI subset size.
-        session = SessionConfig(jobs=1, cache=False)
+        session = SuiteExecutor(jobs=1, cache=False)
         schedule_suite(
             parse_config(STRESS_MACHINE),
             stress_loops,
-            ScheduleRequest(search="geometric"),
+            ScheduleRequest(params=MirsParams(ii_search="geometric")),
             session=session,
         )
         schedule_suite(
@@ -388,7 +388,7 @@ def _measure_certifier(workbench_loops) -> dict:
         run = schedule_suite(
             parse_config(machine_name),
             workbench_loops,
-            session=SessionConfig(jobs=1, cache=False),
+            session=SuiteExecutor(jobs=1, cache=False),
         )
         emitted = [
             (result, generate_code(result)) for result in run.converged
@@ -497,7 +497,9 @@ def _measure_speculation(stress_loops) -> dict:
     machine = parse_config(STRESS_MACHINE)
     entries: dict[int, dict] = {}
     for width in (1, 4):
-        engine = MirsC(machine, strict=False, speculation=width)
+        engine = MirsC(
+            machine, params=MirsParams(speculation=width), strict=False
+        )
         started = time.perf_counter()
         result = engine.schedule(graph.clone())
         wall = time.perf_counter() - started
@@ -572,7 +574,7 @@ def _gate_speculation(
                 f"{k1['attempts']} attempts vs the committed "
                 f"{baseline_section.get('serial_attempts')}"
             )
-    if os.environ.get("REPRO_BENCH_REQUIRE_BASELINE"):
+    if env_flag("REPRO_BENCH_REQUIRE_BASELINE"):
         # With the full frontier width in cores, racing must pay off
         # (>=2x on stress1); on narrower hosts parallel speedup is
         # physically capped, so gate only the runner's overhead — a
@@ -648,7 +650,7 @@ def _measure_observability(workbench_loops) -> dict:
     reproduce the same fingerprints.
     """
     machine = parse_config(WORKBENCH_MACHINES[0])
-    session = SessionConfig(jobs=1, cache=False)
+    session = SuiteExecutor(jobs=1, cache=False)
     counting = _CountingNull()
     started = time.perf_counter()
     off_run = schedule_suite(
@@ -813,7 +815,7 @@ def test_scheduler_throughput(table_sink):
     certifier_failures = _gate_certifier(certifier)
 
     baseline = _load_baseline()
-    if os.environ.get("REPRO_BENCH_REQUIRE_BASELINE"):
+    if env_flag("REPRO_BENCH_REQUIRE_BASELINE"):
         assert baseline is not None, (
             f"committed baseline {BASELINE_PATH} is missing; the "
             "regression/speedup gates would silently become no-ops"
@@ -839,11 +841,11 @@ def test_scheduler_throughput(table_sink):
                 "normalized_wall"
             ],
         }
-        tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.25"))
+        tolerance = float(env_str("REPRO_BENCH_TOLERANCE") or "0.25")
         counts_match = (
             baseline["workbench"].get("count") == WORKBENCH_COUNT
         )
-        if os.environ.get("REPRO_BENCH_REQUIRE_BASELINE"):
+        if env_flag("REPRO_BENCH_REQUIRE_BASELINE"):
             assert counts_match, (
                 f"baseline workbench count "
                 f"{baseline['workbench'].get('count')} != "
@@ -891,7 +893,7 @@ def test_scheduler_throughput(table_sink):
         baseline.get("ii_search") if baseline else None,
         policy_entries,
         stress_count,
-        tolerance=float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.25")),
+        tolerance=float(env_str("REPRO_BENCH_TOLERANCE") or "0.25"),
         payload=payload,
     )
 

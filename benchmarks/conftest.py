@@ -24,11 +24,11 @@ suite completes in minutes.  Set ``REPRO_BENCH_LOOPS=<n>`` to scale up.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 
 import pytest
 
+from repro.env import env_flag, env_str
 from repro.eval.runner import bench_loop_count
 from repro.exec import ResultCache, SuiteExecutor
 
@@ -43,9 +43,9 @@ def _session_executor() -> SuiteExecutor:
     """The one executor shared by every benchmark in the session."""
     global _executor
     if _executor is None:
-        if os.environ.get("REPRO_NO_CACHE"):
+        if env_flag("REPRO_NO_CACHE"):
             cache: ResultCache | bool = False
-        elif os.environ.get("REPRO_CACHE_DIR"):
+        elif env_str("REPRO_CACHE_DIR"):
             cache = True  # honour the explicit directory
         else:
             cache = ResultCache(DEFAULT_BENCH_CACHE)
@@ -79,7 +79,7 @@ def _write_suite_json() -> pathlib.Path | None:
         # Drivers use different per-table subset sizes; the authoritative
         # per-run loop counts are in each suite entry.  This records only
         # the env override (null = driver defaults).
-        "bench_loops_env": os.environ.get("REPRO_BENCH_LOOPS") or None,
+        "bench_loops_env": env_str("REPRO_BENCH_LOOPS"),
         "jobs": _executor.jobs,
         "totals": {
             "loops": stats.loops,

@@ -10,14 +10,14 @@ failure kinds along the way (the full trace every result carries in
 
 from collections import Counter
 
-from repro import MirsC, parse_config
+from repro import MirsC, MirsParams, parse_config
 from repro.workloads.perfect import cached_suite
 
 machine = parse_config("2-(GP4M2-REG16)")
 loops = cached_suite(6)
 
 for search in ("linear", "geometric"):
-    engine = MirsC(machine, strict=False, search=search)
+    engine = MirsC(machine, params=MirsParams(ii_search=search), strict=False)
     print(f"--- {search} ---")
     for loop in loops:
         result = engine.schedule(loop.graph)

@@ -2,12 +2,13 @@
 
 A failed scheduling attempt at one II tells the paper's driver nothing
 about the next one: each attempt is an independent feasibility query.
-``--speculation K`` (or ``MirsParams(speculation=K)``, or
-``REPRO_SPECULATION=K``) races K candidate IIs from the active search
-policy over worker processes; the first verified-feasible II cancels
-every strictly-higher candidate still in flight, and the committed
-schedule is deterministically the lowest feasible II - bit-identical
-(fingerprint-equal) to the serial search, for every K and every policy.
+``MirsParams(speculation=K)`` (the CLI's ``--speculation K``;
+``REPRO_SPECULATION=K`` when the field is unset) races K candidate IIs
+from the active search policy over worker processes; the first
+verified-feasible II cancels every strictly-higher candidate still in
+flight, and the committed schedule is deterministically the lowest
+feasible II - bit-identical (fingerprint-equal) to the serial search,
+for every K and every policy.
 
 This example schedules a few workbench loops on a register-starved
 machine serially and at K=4, checks the fingerprints match, and prints
@@ -17,7 +18,7 @@ the race's typed ledger from ``stats.search``
 
 import os
 
-from repro import MirsC, parse_config
+from repro import MirsC, MirsParams, parse_config
 from repro.exec import result_fingerprint
 from repro.workloads.perfect import cached_suite
 
@@ -28,12 +29,12 @@ print(f"host cpus: {os.cpu_count()} (racing K attempts needs K cores "
       "to pay off in wall-clock; the answer is identical regardless)\n")
 
 for loop in loops:
-    serial = MirsC(machine, strict=False, speculation=1).schedule(
-        loop.graph.clone()
-    )
-    raced = MirsC(machine, strict=False, speculation=4).schedule(
-        loop.graph.clone()
-    )
+    serial = MirsC(
+        machine, params=MirsParams(speculation=1), strict=False
+    ).schedule(loop.graph.clone())
+    raced = MirsC(
+        machine, params=MirsParams(speculation=4), strict=False
+    ).schedule(loop.graph.clone())
     identical = result_fingerprint(raced) == result_fingerprint(serial)
     stats = raced.stats.search
     status = f"II={raced.ii}" if raced.converged else "not converged"

@@ -23,7 +23,7 @@ against the committed schema, and prints the same per-phase breakdown
 import tempfile
 from pathlib import Path
 
-from repro import MirsC, RecordingTracer, parse_config
+from repro import MirsC, MirsParams, RecordingTracer, parse_config
 from repro.obs.export import (
     chrome_path_for,
     chrome_payload,
@@ -40,9 +40,9 @@ loop = cached_suite(6)[5].graph
 
 tracer = RecordingTracer()
 serial = MirsC(machine, strict=False, tracer=tracer).schedule(loop.clone())
-raced = MirsC(machine, strict=False, speculation=2, tracer=tracer).schedule(
-    loop.clone()
-)
+raced = MirsC(
+    machine, params=MirsParams(speculation=2), strict=False, tracer=tracer
+).schedule(loop.clone())
 assert raced.ii == serial.ii  # tracing and speculation change nothing
 
 out = Path(tempfile.mkdtemp(prefix="repro-trace-")) / "trace.jsonl"

@@ -26,6 +26,21 @@ Scheduling::
     result = MirsC(machine).schedule(graph)
     print(result.summary())
 
+Every setting has one home.  Algorithm parameters, the II-search policy
+and the speculation width live in :class:`MirsParams`; suites run
+through a :class:`ScheduleRequest` (scheduler, params, trace) on a
+:class:`repro.exec.SuiteExecutor` (workers, result cache)::
+
+    from repro import MirsParams, ScheduleRequest
+    from repro.eval.runner import schedule_suite
+    from repro.exec import SuiteExecutor
+    from repro.workloads.perfect import cached_suite
+    params = MirsParams(ii_search="geometric", speculation=2)
+    run = schedule_suite(
+        machine, cached_suite(4), ScheduleRequest(params=params),
+        session=SuiteExecutor(jobs=2),
+    )
+
 Observability::
 
     from repro import MirsC, RecordingTracer
@@ -58,7 +73,7 @@ from repro.core.attempts import (
 )
 from repro.core.mirsc import Mirs, MirsC
 from repro.core.params import MirsParams
-from repro.core.request import ScheduleRequest, SessionConfig
+from repro.core.request import ScheduleRequest
 from repro.core.result import ScheduleResult
 from repro.core.search import (
     AttemptOutcome,
@@ -148,7 +163,6 @@ __all__ = [
     "ScheduleResult",
     "SchedulingError",
     "SearchStats",
-    "SessionConfig",
     "SpeculativeSearchDriver",
     "TechnologyModel",
     "Tracer",

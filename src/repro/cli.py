@@ -56,14 +56,15 @@ from repro import (
     generate_code,
     parse_config,
 )
-from repro.core.request import ScheduleRequest, SessionConfig
+from repro.core.params import MirsParams
+from repro.core.request import ScheduleRequest
 from repro.errors import FrontendError
 from repro.core.search import POLICIES
 from repro.eval.experiments import figure2_rows
 from repro.eval.pretty import format_kernel
 from repro.eval.reporting import render_table
 from repro.eval.runner import schedule_suite
-from repro.exec import ResultCache
+from repro.exec import ResultCache, SuiteExecutor
 from repro.memsim.stall import MemoryModel
 from repro.sim import run_differential
 from repro.workloads.perfect import (
@@ -132,8 +133,9 @@ def _request_from(args: argparse.Namespace) -> ScheduleRequest:
         trace = RecordingTracer()
     return ScheduleRequest(
         scheduler=getattr(args, "scheduler", "mirsc"),
-        search=args.ii_search,
-        speculation=args.speculation,
+        params=MirsParams(
+            ii_search=args.ii_search, speculation=args.speculation
+        ),
         trace=trace,
     )
 
@@ -281,9 +283,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         args.config, move_latency=args.move_latency, buses=args.buses
     )
     loops = cached_suite(args.loops)
-    session = SessionConfig(jobs=args.jobs, cache=not args.no_cache)
+    executor = SuiteExecutor(jobs=args.jobs, cache=not args.no_cache)
     request = _request_from(args)
-    run = schedule_suite(machine, loops, request, session=session)
+    run = schedule_suite(machine, loops, request, session=executor)
 
     rows = []
     rejected: list[str] = []
@@ -335,10 +337,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         args.config, move_latency=args.move_latency, buses=args.buses
     )
     loops = cached_suite(args.loops)
-    session = SessionConfig(jobs=args.jobs, cache=not args.no_cache)
+    executor = SuiteExecutor(jobs=args.jobs, cache=not args.no_cache)
     request = _request_from(args)
-    ours_run = schedule_suite(machine, loops, request, session=session)
-    base_run = schedule_suite(machine, loops, "baseline", session=session)
+    ours_run = schedule_suite(machine, loops, request, session=executor)
+    base_run = schedule_suite(
+        machine, loops, ScheduleRequest(scheduler="baseline"),
+        session=executor,
+    )
     rows = []
     for loop, ours, base in zip(loops, ours_run.results, base_run.results, strict=True):
         rows.append(
@@ -359,7 +364,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    executor = session.make_executor()
     stats = executor.stats
     print(
         f"[exec] jobs={executor.jobs} scheduled={stats.scheduled} "
@@ -511,10 +515,9 @@ def _cmd_frontend_run(args: argparse.Namespace) -> int:
     except FrontendError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    session = SessionConfig(jobs=args.jobs, cache=not args.no_cache)
+    executor = SuiteExecutor(jobs=args.jobs, cache=not args.no_cache)
     request = _request_from(args)
-    run = schedule_suite(machine, lowered, request, session=session)
-    executor = session.make_executor()
+    run = schedule_suite(machine, lowered, request, session=executor)
     cache = executor.cache if executor.cache is not None else False
 
     rows = []

@@ -26,6 +26,8 @@ from repro.schedule.slots import dependence_window
 
 #: Cap on candidate cycles probed per move (keeps balancing cheap).
 _MAX_PROBES = 8
+#: Moves examined per register-pressure balancing attempt (Sec 3.3.3).
+_BALANCE_CANDIDATES = 4
 
 
 def _candidate_moves(state: SchedulerState, cluster: int) -> list[int]:
@@ -108,7 +110,7 @@ def balance_register_pressure(state: SchedulerState, cluster: int) -> bool:
     improved = False
     examined = 0
     for move_id in _candidate_moves(state, cluster):
-        if examined >= state.params.balance_candidates:
+        if examined >= _BALANCE_CANDIDATES:
             break
         examined += 1
         node = state.graph.node(move_id)

@@ -66,17 +66,6 @@ def _moves_for(
     return count
 
 
-def moves_required(state: SchedulerState, node: Node, cluster: int) -> int:
-    """Move operations needed if ``node`` lands in ``cluster``.
-
-    One move per operand value living in a different cluster, plus one
-    move per distinct foreign cluster holding already-scheduled consumers
-    of the node's value.
-    """
-    producers, consumers = _communication_profile(state, node)
-    return _moves_for(producers, consumers, cluster)
-
-
 def _pinned_cluster(state: SchedulerState, node: Node) -> int | None:
     """Cluster a spill node is pinned to (next to its value / consumer)."""
     if not node.is_spill:

@@ -26,10 +26,10 @@ reference interpretation of the dependence graph.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 from repro.core.result import ScheduleResult
 from repro.codegen.mve import modulo_variable_expansion_factor
+from repro.env import env_flag
 from repro.errors import CertificationError, CodegenError
 from repro.graph.ddg import DepKind
 from repro.schedule.lifetimes import LifetimeAnalysis
@@ -340,7 +340,7 @@ def generate_code(result: ScheduleResult) -> GeneratedCode:
         epilogue=epilogue,
         registers=registers,
     )
-    if os.environ.get(CERTIFY_ENV):
+    if env_flag(CERTIFY_ENV):
         # Imported here: repro.analysis certifies *this* module's output.
         from repro.analysis import certify_code
 

@@ -51,9 +51,14 @@ import multiprocessing
 
 from repro.cluster.moves import add_move, next_needed_move
 from repro.cluster.selection import select_cluster
-from repro.core.params import MirsParams
+from repro.core.params import MirsParams, final_round_cap
 from repro.core.scheduling import schedule_node
-from repro.core.search import AttemptOutcome, OutcomeKind, predicted_failure
+from repro.core.search import (
+    AttemptOutcome,
+    OutcomeKind,
+    bounds_eject_churn,
+    predicted_failure,
+)
 from repro.core.state import SchedulerState, SchedulerStats
 from repro.errors import SchedulingError
 from repro.exec.workers import Workers
@@ -200,7 +205,7 @@ class AttemptEngine:
         self.machine = machine
         self.params = params
         self.tracer = tracer
-        self._bound_churn = params.effective_bound_eject_churn()
+        self._bound_churn = bounds_eject_churn(params.ii_search)
 
     # ------------------------------------------------------------------
 
@@ -253,10 +258,9 @@ class AttemptEngine:
         self, state: SchedulerState
     ) -> tuple[SchedulerState | None, AttemptOutcome]:
         final_rounds = 0
-        max_final_rounds = self.params.final_round_cap_for(
+        max_final_rounds = final_round_cap(
             self.machine.clusters, len(state.graph)
         )
-        placements_since_check = 0
 
         while True:
             if state.pl.empty():
@@ -329,18 +333,13 @@ class AttemptEngine:
             # Step (3): schedule U itself.
             schedule_node(state, node, cluster)
 
-            # Steps (4)+(5): register pressure check (gauged regime).
-            placements_since_check += 1
-            if (
-                placements_since_check >= self.params.spill_check_interval
-                or state.pl.empty()
-            ):
-                placements_since_check = 0
-                self._checked_spill(state, final=False)
-                if self._churned_out(state, max_final_rounds):
-                    return None, self._outcome(
-                        state, OutcomeKind.ROUND_CAP, final_rounds
-                    )
+            # Steps (4)+(5): register pressure check after every
+            # placement (gauged regime).
+            self._checked_spill(state, final=False)
+            if self._churned_out(state, max_final_rounds):
+                return None, self._outcome(
+                    state, OutcomeKind.ROUND_CAP, final_rounds
+                )
             state.budget -= 1
 
     # ------------------------------------------------------------------

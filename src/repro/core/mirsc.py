@@ -30,7 +30,9 @@ The fixed-II inner loop (steps (1)-(6)) lives in
 speculation width K: K=1 runs it over the in-process
 :class:`~repro.core.attempts.SerialAttemptRunner` (one attempt at a
 time, exactly the paper's ladder), K>1 races K candidate IIs over a
-process pool with bit-identical committed results.
+process pool with bit-identical committed results.  The policy and K
+are read from the parameters (``params.ii_search`` and
+``params.speculation``); the scheduler has no other way to set them.
 
 On a single-cluster machine steps C1/C2 degenerate (the cluster is always
 0 and no moves are ever needed) and the algorithm *is* MIRS [33], the
@@ -39,7 +41,6 @@ non-clustered variant - exposed as :class:`Mirs` for clarity.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from repro.errors import ConvergenceError
@@ -65,21 +66,14 @@ class MirsC:
 
     Args:
         machine: target configuration.
-        params: algorithm parameters (paper defaults when omitted).
+        params: algorithm parameters (paper defaults when omitted),
+            including the II-search policy (``params.ii_search``) and
+            the speculative search width K (``params.speculation``).
         verify: re-validate every produced schedule (cheap; on by default).
         strict: with the paper's parameters MIRS-C always converges, so
             hitting the II cap raises :class:`ConvergenceError`; pass
             ``strict=False`` (as the parameter-ablation benchmarks do) to
             get a ``converged=False`` result instead.
-        search: II-search policy — a registered name (``"linear"`` or
-            ``"geometric"``) or an
-            :class:`~repro.core.search.IISearchPolicy` instance.
-            Overrides ``params.ii_search``; the default is the paper's
-            linear ladder.
-        speculation: speculative II-search width K — overrides
-            ``params.speculation`` (``None`` keeps the param's own
-            resolution: field, then ``REPRO_SPECULATION``, then the
-            serial search).
         tracer: structured-trace sink — a
             :class:`~repro.obs.Tracer`, ``True`` (process-global
             tracer), ``False`` (off, overriding the environment) or
@@ -92,18 +86,10 @@ class MirsC:
         params: MirsParams | None = None,
         verify: bool = True,
         strict: bool = True,
-        search=None,
-        speculation: int | None = None,
         tracer=None,
     ):
         self.machine = machine
         self.params = params or MirsParams()
-        if search is not None:
-            self.params = dataclasses.replace(self.params, ii_search=search)
-        if speculation is not None:
-            self.params = dataclasses.replace(
-                self.params, speculation=speculation
-            )
         self.verify = verify
         self.strict = strict
         self.tracer = resolve_tracer(tracer)
@@ -339,8 +325,6 @@ class Mirs(MirsC):
         params: MirsParams | None = None,
         verify: bool = True,
         strict: bool = True,
-        search=None,
-        speculation: int | None = None,
         tracer=None,
     ):
         if machine.clusters != 1:
@@ -350,5 +334,5 @@ class Mirs(MirsC):
             )
         super().__init__(
             machine, params=params, verify=verify, strict=strict,
-            search=search, speculation=speculation, tracer=tracer,
+            tracer=tracer,
         )

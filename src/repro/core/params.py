@@ -15,15 +15,23 @@ The paper fixes three *gauges* controlling the spill heuristic (Section
 
 ``bench_ablation_gauges`` sweeps these to reproduce the sensitivity study
 the paper defers to [33].
+
+:class:`MirsParams` is the one home of every algorithm setting, the
+II-search policy and the speculation width included: the CLI flags and
+:class:`~repro.core.request.ScheduleRequest` only fill its fields.
+Settings that only ever took one value are constants where they are
+read (the forcing eviction cap in :mod:`repro.core.scheduling`, the
+balancing candidate count in :mod:`repro.cluster.balance`, the exact
+backend's cluster gate in :mod:`repro.smt.scheduler`, and
+:func:`final_round_cap`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import warnings
 
 from repro.core.search import canonical_search, make_policy
+from repro.env import int_env
 from repro.errors import ConfigError
 
 #: Environment fallback for :attr:`MirsParams.speculation` (the CLI flag
@@ -56,9 +64,6 @@ class SmtParams:
     #: The default admits the whole 16-loop workbench (22-93 nodes);
     #: the step budget, not the node count, is the real work bound.
     max_nodes: int = 96
-    #: Machines with more clusters than this are skipped: the cluster
-    #: assignment space grows as ``K**nodes``.
-    max_clusters: int = 2
     #: Deterministic work bound per fixed-II decision problem, counted
     #: in solver steps (decisions + propagations for the native engine,
     #: a solver-reported budget for z3) — never wall-clock, so cached
@@ -80,8 +85,8 @@ class SmtParams:
                 f"unknown smt engine {self.engine!r} "
                 "(expected 'auto', 'native' or 'z3')"
             )
-        if self.max_nodes < 1 or self.max_clusters < 1:
-            raise ConfigError("smt size gates must be at least 1")
+        if self.max_nodes < 1:
+            raise ConfigError("smt size gate must be at least 1")
         if self.step_budget < 1:
             raise ConfigError("smt step budget must be at least 1")
         if self.horizon_stages < 0:
@@ -116,17 +121,9 @@ class MirsParams:
     spill_gauge: float = 2.0
     min_span_gauge: int = 4
     distance_gauge: int = 4
-    #: Placements between register-pressure checks while the PriorityList
-    #: is non-empty.  1 reproduces the paper exactly (a check after every
-    #: node); the drained-list checks are always exact regardless.
-    spill_check_interval: int = 1
     #: Hard cap on the II explored before declaring non-convergence; when
     #: ``None`` a cap is derived from the loop (see :func:`max_ii_for`).
     max_ii: int | None = None
-    #: Safety valve on consecutive ejections while forcing a single node.
-    max_force_evictions: int = 64
-    #: Moves examined per register-pressure balancing attempt (Sec 3.3.3).
-    balance_candidates: int = 4
     #: Single-victim ejection (the paper's policy) vs ejecting every
     #: conflicting node (the policy of [6, 16, 28]); the ablation bench
     #: flips this.
@@ -135,20 +132,11 @@ class MirsParams:
     #: ``"geometric"``) or an
     #: :class:`~repro.core.search.IISearchPolicy` instance.  Part of the
     #: scheduling problem's identity: it participates in
-    #: :meth:`canonical` and therefore in the ``exec`` cache keys.
+    #: :meth:`canonical` and therefore in the ``exec`` cache keys.  The
+    #: policy also decides whether attempts bound eject-only churn by
+    #: the round cap (its ``bound_eject_churn`` attribute: off for the
+    #: paper-exact ``LinearSearch``, on for the jumping policies).
     ii_search: object = "linear"
-    #: Cap on drained-regime spill/allocate rounds per attempt; ``None``
-    #: derives ``3 * clusters + 8 + nodes // 8`` (see
-    #: :meth:`final_round_cap_for`) so very large loops get
-    #: proportionally more rounds before the attempt is abandoned.
-    final_round_cap: int | None = None
-    #: Bound consecutive eject-only spill-check rounds by the round cap
-    #: (ending the attempt with the ``ROUND_CAP`` outcome) instead of
-    #: letting the eject-and-replace cycle drain the restart budget.
-    #: ``None`` defers to the search policy (the paper-exact
-    #: ``LinearSearch`` leaves it off; the jumping policies turn it on —
-    #: see :mod:`repro.core.search`).
-    bound_eject_churn: bool | None = None
     #: Speculative II-search width: how many candidate IIs the driver
     #: races concurrently (see :mod:`repro.core.attempts`).  ``1`` is
     #: the serial search; ``None`` defers to the ``REPRO_SPECULATION``
@@ -177,8 +165,6 @@ class MirsParams:
             raise ConfigError("spill gauge must be >= 1 (Section 3.2.3)")
         if self.min_span_gauge < 0 or self.distance_gauge < 0:
             raise ConfigError("gauges must be non-negative")
-        if self.final_round_cap is not None and self.final_round_cap < 1:
-            raise ConfigError("final round cap must be at least 1")
         if self.speculation is not None and self.speculation < 1:
             raise ConfigError("speculation width must be at least 1")
         if self.smt is not None and not isinstance(self.smt, SmtParams):
@@ -191,14 +177,6 @@ class MirsParams:
         """A policy instance for one search (see :mod:`repro.core.search`)."""
         return make_policy(self.ii_search)
 
-    def effective_bound_eject_churn(self) -> bool:
-        """Resolve the churn bound against the search policy's default."""
-        if self.bound_eject_churn is not None:
-            return self.bound_eject_churn
-        return bool(
-            getattr(make_policy(self.ii_search), "bound_eject_churn", False)
-        )
-
     def effective_speculation(self) -> int:
         """Resolve the speculative search width (field, env, then 1).
 
@@ -207,33 +185,13 @@ class MirsParams:
         """
         if self.speculation is not None:
             return self.speculation
-        value = os.environ.get(SPECULATION_ENV)
-        if not value:
-            return 1
-        try:
-            return max(1, int(value))
-        except ValueError:
-            warnings.warn(
-                f"ignoring malformed {SPECULATION_ENV}={value!r}; "
-                "searching serially (speculation=1)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 1
-
-    def final_round_cap_for(self, clusters: int, node_count: int) -> int:
-        """Drained-regime round cap for one attempt.
-
-        The historical constant ``3 * clusters + 8`` starved very large
-        loops: each round spills or ejects a single section, so a
-        300-node loop whose MaxLive sits far above AR runs out of
-        rounds while still making progress (ROADMAP's stress2
-        non-convergence).  The derived cap grows with the loop size;
-        setting :attr:`final_round_cap` pins it explicitly.
-        """
-        if self.final_round_cap is not None:
-            return self.final_round_cap
-        return 3 * clusters + 8 + node_count // 8
+        return max(
+            1,
+            int_env(
+                SPECULATION_ENV, 1,
+                fallback_note="searching serially (speculation=1)",
+            ),
+        )
 
     def canonical(self) -> dict:
         """A stable, JSON-serializable form (cache keys, reports).
@@ -245,10 +203,6 @@ class MirsParams:
         """
         payload = dataclasses.asdict(self)
         payload["ii_search"] = canonical_search(self.ii_search)
-        # The resolved value is the semantic one: leaving the tri-state
-        # None in the key would alias "policy default" with whichever
-        # explicit setting happens to match it.
-        payload["bound_eject_churn"] = self.effective_bound_eject_churn()
         payload["speculation"] = self.effective_speculation()
         # The exact backend's sub-params resolve their own tri-state
         # (engine "auto" → the engine that will actually run).
@@ -270,3 +224,15 @@ def max_ii_for(mii: int, node_count: int, params: MirsParams) -> int:
     if params.max_ii is not None:
         return params.max_ii
     return max(4 * mii + 32, mii + node_count, 64)
+
+
+def final_round_cap(clusters: int, node_count: int) -> int:
+    """Drained-regime spill/allocate rounds allowed per attempt.
+
+    The historical constant ``3 * clusters + 8`` starved very large
+    loops: each round spills or ejects a single section, so a 300-node
+    loop whose MaxLive sits far above AR runs out of rounds while still
+    making progress (ROADMAP's stress2 non-convergence).  The cap
+    therefore grows with the loop size.
+    """
+    return 3 * clusters + 8 + node_count // 8

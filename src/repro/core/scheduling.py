@@ -32,6 +32,9 @@ from repro.schedule.slots import (
     violates_dependences,
 )
 
+#: Safety valve on consecutive ejections while forcing a single node.
+_MAX_FORCE_EVICTIONS = 64
+
 
 def schedule_node(state: SchedulerState, node: Node, cluster: int) -> bool:
     """Place ``node`` into ``cluster``, ejecting others if necessary.
@@ -98,7 +101,7 @@ def _force_and_eject(
         evictions += len(chosen)
         if node.id not in state.graph:
             return False  # the node was removed while ejecting
-        if evictions > state.params.max_force_evictions:
+        if evictions > _MAX_FORCE_EVICTIONS:
             raise SchedulingError(
                 f"eviction storm while forcing {node.name}; "
                 "the partial schedule is livelocked"

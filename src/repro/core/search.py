@@ -23,11 +23,15 @@ consumed, and the scheduler's own suggested next II.  An
   current II), latching into the paper's ladder once the deficit goes
   small so the first feasible II is always approached from below.
 
+A policy is selected by one field, ``MirsParams.ii_search`` (a
+registered name or an instance); the CLI's ``--ii-search`` fills it.
 The driver records the full ``(ii, outcome)`` trace in
 ``ScheduleResult.stats.search_trace`` and the policy's
 :meth:`~IISearchPolicy.canonical` form participates in the ``exec``
 cache keys (through :meth:`repro.core.params.MirsParams.canonical`), so
 results computed under different policies never alias in the cache.
+A policy's ``bound_eject_churn`` attribute (:func:`bounds_eject_churn`)
+is the one way it changes what an attempt does.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class OutcomeKind(enum.Enum):
       left to take;
     * ``ROUND_CAP`` — the drained-regime spill/allocate loop was still
       making progress when it hit the final-round cap
-      (:meth:`repro.core.params.MirsParams.final_round_cap_for`) — the
+      (:func:`repro.core.params.final_round_cap`) — the
       register-infeasible verdict for attempts that thrash rather than
       settle.
     """
@@ -239,7 +243,7 @@ class GeometricPressureSearch:
     #: Jump policies probe sparse IIs, so an attempt must fail *because
     #: the II is too small*, not because the eject-and-replace cycle
     #: outlasted the budget: churn is bounded by the round cap (see
-    #: ``MirsParams.bound_eject_churn``), which both speeds failing
+    #: :func:`bounds_eject_churn`), which both speeds failing
     #: attempts up ~6x and makes the failure kind (and its pressure
     #: deficit) a usable gradient.  Measured on the workbench and the
     #: stress seeds, the bound changes no attempt verdict — only how
@@ -350,3 +354,14 @@ def make_policy(spec) -> IISearchPolicy:
 def canonical_search(spec) -> dict:
     """The stable cache-key form of a search spec."""
     return make_policy(spec).canonical()
+
+
+def bounds_eject_churn(spec) -> bool:
+    """Whether a search spec's attempts bound eject-only churn.
+
+    Read from the policy's ``bound_eject_churn`` attribute (a policy
+    without one runs paper-exact attempts).  This is the one way a
+    policy changes what an attempt *does*, so the per-attempt cache key
+    carries it even though it strips the policy itself.
+    """
+    return bool(getattr(make_policy(spec), "bound_eject_churn", False))

@@ -113,7 +113,7 @@ class SchedulerState:
         # the only way the count grows (moves are not memory operations).
         self._mem_ops = sum(1 for n in graph.nodes() if n.kind.is_memory)
         #: Consecutive eject-only spill-check rounds (maintained by the
-        #: driver when ``MirsParams.bound_eject_churn`` resolves on).
+        #: driver when the search policy bounds eject churn).
         self.eject_churn_run = 0
 
     # ------------------------------------------------------------------

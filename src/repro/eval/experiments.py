@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.params import MirsParams
-from repro.core.request import ScheduleRequest, SessionConfig
+from repro.core.request import ScheduleRequest
 from repro.eval.runner import SuiteRun, schedule_suite
 from repro.exec.engine import SuiteExecutor
 from repro.graph.mii import resource_mii
@@ -80,12 +79,12 @@ def table1_rows(
     loops: tuple[SuiteLoop, ...],
     clusters: tuple[int, ...] = (1, 2, 4),
     move_latencies: tuple[int, ...] = (1, 3),
-    request: ScheduleRequest | MirsParams | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    request: ScheduleRequest | None = None,
+    session: SuiteExecutor | None = None,
 ) -> Rows:
     """Table 1: unbounded registers - schedule quality head to head."""
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
     headers = [
         "k", "Lm", "loops", "not different", "different",
         "sum II [31]", "sum II MIRS-C", "II ratio",
@@ -127,12 +126,12 @@ def table2_rows(
     clusters: tuple[int, ...] = (1, 2, 4),
     move_latencies: tuple[int, ...] = (1, 3),
     total_registers: int = 64,
-    request: ScheduleRequest | MirsParams | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    request: ScheduleRequest | None = None,
+    session: SuiteExecutor | None = None,
 ) -> Rows:
     """Table 2: register files constrained to k x z = 64 in total."""
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
     headers = [
         "k", "Lm", "not cnvr [31]", "different",
         "sum II [31]", "sum II MIRS-C", "II ratio",
@@ -178,8 +177,8 @@ def table2_rows(
 def table3_rows(
     loops: tuple[SuiteLoop, ...],
     move_latencies: tuple[int, ...] = (1, 3),
-    request: ScheduleRequest | MirsParams | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    request: ScheduleRequest | None = None,
+    session: SuiteExecutor | None = None,
 ) -> Rows:
     """Table 3: scheduling time of [31] vs MIRS-C.
 
@@ -188,8 +187,8 @@ def table3_rows(
     covers only the loops it converges on (the paper's footnote), while
     MIRS-C also pays for the loops [31] gives up on.
     """
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
     configs: list[tuple[int, int | None]] = [
         (1, None), (1, 64), (2, None), (2, 32), (4, None), (4, 16),
     ]
@@ -239,14 +238,14 @@ def figure5_rows(
     clusters: tuple[int, ...] = (1, 2, 4),
     registers: tuple[int, ...] = (16, 32, 64, 128),
     move_latencies: tuple[int, ...] = (1, 3),
-    request: ScheduleRequest | MirsParams | None = None,
+    request: ScheduleRequest | None = None,
     technology: TechnologyModel | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    session: SuiteExecutor | None = None,
 ) -> Rows:
     """Figure 5: execution cycles, memory traffic and execution time."""
     technology = technology or TechnologyModel()
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
     headers = [
         "Lm", "k", "regs/cluster",
         "exec cycles (M)", "memory ops (M)", "exec time (ms)",
@@ -289,12 +288,12 @@ def figure6_rows(
     loops: tuple[SuiteLoop, ...],
     clusters: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
     bus_counts: tuple[int | None, ...] = (2, 3, 4, None),
-    request: ScheduleRequest | MirsParams | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    request: ScheduleRequest | None = None,
+    session: SuiteExecutor | None = None,
 ) -> Rows:
     """Figure 6: replicate a GP2M1-REG32 cluster k times, sweep buses."""
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
     headers = ["buses", "k", "sum cycles (M)", "speedup vs k=1"]
     rows: list[list] = []
     for buses in bus_counts:
@@ -332,8 +331,8 @@ def simulator_rows(
     loops: tuple[SuiteLoop, ...],
     configs: tuple[str, ...] = ("1-(GP8M4-REG64)", "4-(GP2M1-REG16)"),
     iterations: int = 50,
-    request: ScheduleRequest | MirsParams | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    request: ScheduleRequest | None = None,
+    session: SuiteExecutor | None = None,
 ) -> Rows:
     """Measured (simulated) vs analytic (memsim) cycles per loop.
 
@@ -351,10 +350,9 @@ def simulator_rows(
     """
     from repro.sim import run_differential
 
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
-    suite_executor = session.make_executor()
-    cache = suite_executor.cache if suite_executor.cache is not None else False
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
+    cache = session.cache if session.cache is not None else False
     memory = MemoryModel()
     headers = [
         "config", "loop", "II", "SC", "iters",
@@ -395,8 +393,8 @@ def simulator_rows(
 # ----------------------------------------------------------------------
 
 def frontend_rows(
-    request: ScheduleRequest | MirsParams | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    request: ScheduleRequest | None = None,
+    session: SuiteExecutor | None = None,
     *,
     kernels: tuple[str, ...] | None = None,
     configs: tuple[str, ...] = ("1-(GP8M4-REG64)", "4-(GP2M1-REG32)"),
@@ -420,10 +418,9 @@ def frontend_rows(
     from repro.frontend.corpus import CORPUS_KERNELS, load_kernel
     from repro.frontend.differential import run_source_differential
 
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
-    suite_executor = session.make_executor()
-    cache = suite_executor.cache if suite_executor.cache is not None else False
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
+    cache = session.cache if session.cache is not None else False
     lowered = [load_kernel(name) for name in (kernels or CORPUS_KERNELS)]
     headers = [
         "config", "kernel", "ops", "ResMII", "RecMII", "II",
@@ -483,15 +480,15 @@ def figure7_rows(
     configs: tuple[tuple[int, int], ...] = (
         (1, 64), (1, 128), (2, 32), (2, 64), (4, 32), (4, 64),
     ),
-    request: ScheduleRequest | MirsParams | None = None,
+    request: ScheduleRequest | None = None,
     technology: TechnologyModel | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    session: SuiteExecutor | None = None,
 ) -> Rows:
     """Figure 7: useful/stall cycles and execution time, with and without
     selective binding prefetching."""
     technology = technology or TechnologyModel()
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
     memory = MemoryModel(technology)
     headers = [
         "mode", "k", "regs/cluster",
@@ -548,8 +545,8 @@ def figure7_rows(
 # ----------------------------------------------------------------------
 
 def optimality_rows(
-    request: ScheduleRequest | MirsParams | None = None,
-    session: SessionConfig | SuiteExecutor | None = None,
+    request: ScheduleRequest | None = None,
+    session: SuiteExecutor | None = None,
     *,
     loops=None,
     config: str = "1-(GP8M4-REG64)",
@@ -578,10 +575,9 @@ def optimality_rows(
     from repro.sim.differential import run_differential
     from repro.smt.problem import relaxation_covers, span_within_horizon
 
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
-    suite_executor = session.make_executor()
-    cache = suite_executor.cache if suite_executor.cache is not None else False
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
+    cache = session.cache if session.cache is not None else False
     if loops is None:
         from repro.frontend.corpus import load_corpus
         from repro.workloads.perfect import cached_suite

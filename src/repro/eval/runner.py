@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.request import ScheduleRequest, SessionConfig
+from repro.core.request import ScheduleRequest
 from repro.core.result import ScheduleResult
-from repro.exec.engine import SuiteExecutor, int_env
+from repro.env import int_env
+from repro.exec.engine import SuiteExecutor
 from repro.machine.config import MachineConfig
 from repro.workloads.perfect import SuiteLoop, cached_suite
 
@@ -90,10 +91,10 @@ class SuiteRun:
 def schedule_suite(
     machine: MachineConfig,
     loops: tuple[SuiteLoop, ...] | list[SuiteLoop],
-    request: ScheduleRequest | str | None = None,
+    request: ScheduleRequest | None = None,
     graphs=None,
     *,
-    session: SessionConfig | SuiteExecutor | None = None,
+    session: SuiteExecutor | None = None,
 ) -> SuiteRun:
     """Run one scheduler over a workbench subset.
 
@@ -103,20 +104,16 @@ def schedule_suite(
     Args:
         machine: target configuration.
         loops: workbench loops.
-        request: what to schedule — a
-            :class:`~repro.core.request.ScheduleRequest`, a bare
-            scheduler name (``"mirsc"``/``"baseline"``) or ``None`` for
-            the defaults.
+        request: what to schedule (``None`` for the defaults).
         graphs: optional per-loop replacement graphs (used by the
             prefetching experiments, which re-latency the loads).
-        session: how to execute — a
-            :class:`~repro.core.request.SessionConfig` (jobs, cache,
-            progress) or a pre-built executor; reuse one session across
-            calls to accumulate stats in a single executor.
+        session: the executor that runs the suite (``None`` builds a
+            default :class:`~repro.exec.engine.SuiteExecutor`); reuse
+            one across calls to accumulate stats in a single place.
     """
-    request = ScheduleRequest.coerce(request)
-    session = SessionConfig.coerce(session)
-    results = session.make_executor().run(machine, loops, request, graphs)
+    request = request or ScheduleRequest()
+    session = session or SuiteExecutor()
+    results = session.run(machine, loops, request, graphs)
     return SuiteRun(
         machine=machine, scheduler_name=request.scheduler, results=results
     )

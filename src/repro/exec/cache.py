@@ -15,7 +15,7 @@ Location, in decreasing precedence:
 * the ``REPRO_CACHE_DIR`` environment variable,
 * ``.repro-cache/`` under the current working directory.
 
-``REPRO_NO_CACHE=1`` makes :func:`resolve_cache` return ``None``
+A true ``REPRO_NO_CACHE`` (see :func:`repro.env.env_flag`) makes :func:`resolve_cache` return ``None``
 everywhere a default would otherwise be constructed.
 """
 
@@ -27,6 +27,8 @@ import pathlib
 import pickle
 import tempfile
 
+from repro.env import env_flag, env_str
+
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -36,7 +38,7 @@ _SUFFIX = ".pkl"
 
 def default_cache_dir() -> pathlib.Path:
     """The cache directory implied by the environment."""
-    return pathlib.Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
+    return pathlib.Path(env_str(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
 @dataclasses.dataclass
@@ -150,15 +152,15 @@ def resolve_cache(
       for one (``REPRO_CACHE_DIR`` set), keeping plain library calls —
       including the tier-1 test suite — free of hidden on-disk state.
 
-    ``REPRO_NO_CACHE=1`` wins over everything except an explicit
+    A true ``REPRO_NO_CACHE`` wins over everything except an explicit
     :class:`ResultCache` instance.
     """
     if isinstance(cache, ResultCache):
         return cache
-    if os.environ.get(NO_CACHE_ENV):
+    if env_flag(NO_CACHE_ENV):
         return None
     if cache is True:
         return ResultCache()
-    if cache is None and os.environ.get(CACHE_DIR_ENV):
+    if cache is None and env_str(CACHE_DIR_ENV):
         return ResultCache()
     return None

@@ -26,11 +26,11 @@ import dataclasses
 import itertools
 import os
 import time
-import warnings
 from collections.abc import Callable, Iterator, Sequence
 
 from repro.core.request import ScheduleRequest
 from repro.core.result import ScheduleResult
+from repro.env import int_env
 from repro.exec.cache import ResultCache, resolve_cache
 from repro.exec.hashing import cache_key
 from repro.exec.workers import Workers
@@ -43,27 +43,6 @@ JOBS_ENV = "REPRO_JOBS"
 #: Callback invoked after each loop completes:
 #: ``progress(done, total, loop_name, from_cache)``.
 ProgressFn = Callable[[int, int, str, bool], None]
-
-
-def int_env(name: str, default: int, *, fallback_note: str) -> int:
-    """An integer environment knob with warn-and-fallback semantics.
-
-    A malformed value warns and falls back to ``default`` rather than
-    aborting a long benchmark run (shared by ``REPRO_JOBS`` here and
-    ``REPRO_BENCH_LOOPS`` in :mod:`repro.eval.runner`).
-    """
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={value!r}; {fallback_note}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -84,7 +63,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 def make_engine(
     machine: MachineConfig,
-    request: ScheduleRequest | str | None = None,
+    request: ScheduleRequest | None = None,
 ):
     """Instantiate the scheduler of a :class:`ScheduleRequest`.
 
@@ -92,7 +71,7 @@ def make_engine(
     may legitimately fail to converge; the aggregations already handle
     unconverged entries.
     """
-    return ScheduleRequest.coerce(request).make_scheduler(
+    return (request or ScheduleRequest()).make_scheduler(
         machine, strict=False
     )
 
@@ -200,7 +179,7 @@ class SuiteExecutor:
         self,
         machine: MachineConfig,
         loops: Sequence,
-        request: ScheduleRequest | str | None = None,
+        request: ScheduleRequest | None = None,
         graphs: Sequence[DependenceGraph] | None = None,
     ) -> list[ScheduleResult]:
         """Schedule every loop, in order; see module docstring.
@@ -208,13 +187,10 @@ class SuiteExecutor:
         ``loops`` holds workbench :class:`SuiteLoop` entries (anything
         with a ``.graph``) or bare dependence graphs; ``graphs``
         optionally replaces them position-for-position (the prefetching
-        experiments re-latency the loads this way).  ``request`` also
-        accepts a bare scheduler name or :class:`MirsParams` (see
-        :meth:`ScheduleRequest.coerce`).
+        experiments re-latency the loads this way).
         """
-        request = ScheduleRequest.coerce(request)
+        request = request or ScheduleRequest()
         scheduler_name = request.scheduler
-        resolved = request.resolved_params()
         tracer = resolve_tracer(request.trace)
         started = time.perf_counter()
         work: list[DependenceGraph] = []
@@ -241,7 +217,7 @@ class SuiteExecutor:
         if self.cache is not None:
             for position, graph in enumerate(work):
                 keys[position] = cache_key(
-                    graph, machine, resolved, scheduler_name
+                    graph, machine, request.params, scheduler_name
                 )
                 cached = self.cache.get(keys[position])
                 if cached is not None:

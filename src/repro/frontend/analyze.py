@@ -32,13 +32,11 @@ from collections.abc import Iterator
 
 from repro.errors import FrontendError
 from repro.frontend.ir import (
-    Assign,
     BinOp,
     Call,
     Expr,
     Kernel,
     Name,
-    Num,
     Subscript,
 )
 
@@ -231,13 +229,3 @@ def memory_dependences(kernel: Kernel) -> list[MemDep]:
                 MemDep(src=src.ref, dst=dst.ref, distance=distance, kind=kind)
             )
     return deps
-
-
-def literal_values(kernel: Kernel) -> list[float]:
-    """Distinct numeric literals of the body, in appearance order."""
-    out: list[float] = []
-    for stmt in kernel.body:
-        for node in walk_expr(stmt.expr):
-            if isinstance(node, Num) and node.value not in out:
-                out.append(node.value)
-    return out

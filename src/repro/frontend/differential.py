@@ -44,7 +44,6 @@ from repro.machine.resources import OpKind
 from repro.sim.differential import MAX_REPORTED, run_differential
 from repro.sim.reference import (
     ReferenceInterpreter,
-    ReferenceRun,
     live_in_moduli_of_code,
     spill_load_distance,
 )
@@ -255,10 +254,3 @@ def run_source_differential(
         hazards=hazards,
         mismatches=tuple(mismatches),
     )
-
-
-def source_reference_run(
-    lowered: LoweredKernel, iterations: int
-) -> ReferenceRun:
-    """Convenience: direct source execution with exact live-ins."""
-    return SourceInterpreter(lowered).run(iterations)

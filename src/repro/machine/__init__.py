@@ -8,7 +8,7 @@ inter-cluster ``move`` operations (Section 4 of the paper).
 """
 
 from repro.machine.config import ClusterConfig, MachineConfig, parse_config
-from repro.machine.resources import OpKind, ResourceClass, OperationClass
+from repro.machine.resources import OpKind, ResourceClass
 from repro.machine.reservation import ReservationStep, reservation_steps
 from repro.machine.technology import TechnologyModel
 
@@ -17,7 +17,6 @@ __all__ = [
     "MachineConfig",
     "parse_config",
     "OpKind",
-    "OperationClass",
     "ResourceClass",
     "ReservationStep",
     "reservation_steps",

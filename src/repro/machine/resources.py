@@ -74,23 +74,6 @@ class ResourceClass(enum.Enum):
         return self is ResourceClass.BUS
 
 
-class OperationClass(enum.Enum):
-    """Coarse grouping used for ResMII accounting and statistics."""
-
-    COMPUTE = "compute"
-    MEMORY = "memory"
-    COMMUNICATION = "communication"
-
-
-def operation_class(kind: OpKind) -> OperationClass:
-    """Map an operation kind onto its coarse resource class."""
-    if kind.is_compute:
-        return OperationClass.COMPUTE
-    if kind.is_memory:
-        return OperationClass.MEMORY
-    return OperationClass.COMMUNICATION
-
-
 #: Default operation latencies, straight from Section 4 of the paper.
 #: Loads are given the cache *hit* latency for reads (2 cycles) and stores
 #: the hit latency for writes (1 cycle); Section 4.3 overrides the load

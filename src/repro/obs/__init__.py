@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import sys
 
+from repro.env import env_str
 from repro.obs.metrics import SearchStats, outcome_histogram
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -56,7 +56,7 @@ __all__ = [
 
 
 def _flush_global_tracer() -> None:  # pragma: no cover - atexit plumbing
-    path = os.environ.get(TRACE_ENV)
+    path = env_str(TRACE_ENV)
     if not path or _GLOBAL_TRACER is None or not _GLOBAL_TRACER.events:
         return
     from repro.obs.export import chrome_path_for, write_chrome, write_jsonl
@@ -112,7 +112,7 @@ def resolve_tracer(spec) -> Tracer:
     if spec is False:
         return NULL_TRACER
     if spec is None:
-        if os.environ.get(TRACE_ENV):
+        if env_str(TRACE_ENV):
             return global_tracer()
         return NULL_TRACER
     raise TypeError(

@@ -50,8 +50,8 @@ additionally replays the batch oracle - a from-scratch
 from __future__ import annotations
 
 import bisect
-import os
 
+from repro.env import env_flag
 from repro.graph.ddg import DependenceGraph
 from repro.machine.config import MachineConfig
 from repro.schedule.lifetimes import LifetimeAnalysis
@@ -62,7 +62,7 @@ from repro.schedule.pressure import PressureTracker, fold_lifetime
 #: When true, every lifetime event re-validates the maintained buckets
 #: and every query replays the batch colouring oracle.  Orders of
 #: magnitude slower - test/CI-leg only.
-SELF_CHECK = bool(os.environ.get("REPRO_COLOUR_SELFCHECK"))
+SELF_CHECK = env_flag("REPRO_COLOUR_SELFCHECK")
 
 #: Events tolerated with no query before an idle engine tears its
 #: buckets down (the gauged regime places thousands of nodes between

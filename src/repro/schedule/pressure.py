@@ -51,10 +51,9 @@ results, and this cross-check.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from repro.env import env_flag
 from repro.graph.ddg import DepKind, DependenceGraph, Edge, Node
 from repro.machine.config import MachineConfig
 from repro.machine.resources import OpKind
@@ -72,7 +71,7 @@ _STORE = OpKind.STORE
 
 #: When true, every tracker update re-runs the from-scratch cross-check
 #: (``assert_matches_scratch``).  Hundreds of times slower - test-only.
-SELF_CHECK = bool(os.environ.get("REPRO_PRESSURE_SELFCHECK"))
+SELF_CHECK = env_flag("REPRO_PRESSURE_SELFCHECK")
 
 
 def fold_lifetime(

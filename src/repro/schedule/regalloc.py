@@ -194,10 +194,3 @@ def allocate_registers(
             invariant_registers=invariant_registers,
         )
     return results
-
-
-def allocation_register_count(
-    allocations: dict[int, RegisterAllocation],
-) -> dict[int, int]:
-    """Per-cluster register counts of an allocation result."""
-    return {c: a.registers_used for c, a in allocations.items()}

@@ -15,7 +15,7 @@ engine, the per-II certificate ledger and the proven lower bound:
 * ``status="unsolved"`` — the ladder hit an ``unknown`` verdict before
   any feasible point;
 * ``status="skipped"`` — the loop or machine is outside the backend's
-  size gates (``SmtParams.max_nodes`` / ``max_clusters``) or the graph
+  size gates (``SmtParams.max_nodes``, at most two clusters) or the graph
   is not pristine.
 
 The register bound is MaxLive per cluster; the allocator's arc
@@ -49,6 +49,9 @@ from repro.smt.problem import FixedIIProblem
 
 #: Refinement attempts per II when arc colouring exceeds MaxLive.
 _COLOURING_RETRIES = 4
+#: Machines with more clusters than this are skipped: the cluster
+#: assignment space grows as ``K**nodes``.
+_MAX_CLUSTERS = 2
 
 
 class SmtScheduler:
@@ -185,10 +188,10 @@ class SmtScheduler:
         return native.solve_fixed_ii
 
     def _skip_reason(self, graph: DependenceGraph) -> str | None:
-        if self.machine.clusters > self.smt.max_clusters:
+        if self.machine.clusters > _MAX_CLUSTERS:
             return (
                 f"{self.machine.clusters} clusters exceed the exact "
-                f"backend's gate ({self.smt.max_clusters})"
+                f"backend's gate ({_MAX_CLUSTERS})"
             )
         if len(graph) > self.smt.max_nodes:
             return (

@@ -19,6 +19,7 @@ Covers the contracts the speculative driver's determinism rests on:
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import pickle
 
@@ -35,9 +36,9 @@ from helpers import (
     wide,
 )
 from repro import (
+    GeometricPressureSearch,
     MirsC,
     MirsParams,
-    ScheduleRequest,
     compute_mii,
     hrms_order,
     parse_config,
@@ -50,7 +51,7 @@ from repro.core.attempts import (
     run_attempt,
 )
 from repro.core.params import max_ii_for
-from repro.errors import ConfigError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.exec import attempt_cache_key, result_fingerprint
 from repro.exec.cache import ResultCache
 from repro.exec.hashing import canonical_graph, stable_hash
@@ -151,26 +152,24 @@ class TestAttemptCacheKey:
         assert task.with_ii(task.ii + 1).cache_key() != task.cache_key()
 
     def test_key_ignores_search_policy_and_speculation(self):
-        """A geometric K=4 search shares entries with the serial ladder.
-
-        ``bound_eject_churn`` is pinned because the attempt loop *does*
-        consume its resolved value (the geometric policy defaults it
-        on), and the key rightly tracks it.
-        """
+        """A K=4 race shares entries with the serial search, and
+        policies share them too — except for the one bit a policy feeds
+        the attempt loop: linear runs paper-exact attempts, geometric
+        bounds eject-only churn, so their keys differ."""
         graph = daxpy()
-        base = make_task(
-            graph, UNIFIED, params=MirsParams(bound_eject_churn=False)
+
+        def key(**params):
+            return attempt_cache_key(
+                make_task(graph, UNIFIED, params=MirsParams(**params))
+            )
+
+        assert key(speculation=1) == key(speculation=4)
+        assert key(ii_search="geometric", speculation=1) == key(
+            ii_search="geometric", speculation=4
         )
-        variant = make_task(
-            graph,
-            UNIFIED,
-            params=MirsParams(
-                ii_search="geometric",
-                speculation=4,
-                bound_eject_churn=False,
-            ),
-        )
-        assert attempt_cache_key(variant) == attempt_cache_key(base)
+        assert key(ii_search="linear") != key(ii_search="geometric")
+        tuned = GeometricPressureSearch(jump_fraction=0.5)
+        assert key(ii_search=tuned) == key(ii_search="geometric")
 
     def test_key_tracks_attempt_relevant_params_and_machine(self):
         graph = daxpy()
@@ -219,9 +218,9 @@ class TestSpeculativeIdentity:
             loop.graph.name
             for loop in cached_suite(16)
             if result_fingerprint(
-                MirsC(machine, strict=False, speculation=4).schedule(
-                    loop.graph
-                )
+                MirsC(
+                    machine, params=MirsParams(speculation=4), strict=False
+                ).schedule(loop.graph)
             )
             != expected[loop.graph.name]
         ]
@@ -237,7 +236,9 @@ class TestSpeculativeIdentity:
         for graph in stress_graphs(2):
             outcomes, best = reference_ladder(graph, machine, params)
             result = MirsC(
-                machine, params=params, strict=False, speculation=speculation
+                machine,
+                params=dataclasses.replace(params, speculation=speculation),
+                strict=False,
             ).schedule(graph.clone())
             path = [e for e in result.stats.search_trace if e["on_path"]]
             assert [(e["ii"], e["kind"]) for e in path] == [
@@ -297,14 +298,14 @@ class TestCancellationAccounting:
         cancelled covers whatever never retired)."""
         machine = parse_config("1-(GP8M4-REG64)")
         graph = next(iter(stress_graphs(1)))
-        serial = MirsC(machine, strict=False, speculation=1).schedule(
-            graph.clone()
-        )
+        serial = MirsC(
+            machine, params=MirsParams(speculation=1), strict=False
+        ).schedule(graph.clone())
         serial_attempts = len(serial.stats.search_trace)
         assert serial_attempts > 1  # the ladder climbs; K>1 has work to race
 
         speculative = MirsC(
-            machine, strict=False, speculation=4
+            machine, params=MirsParams(speculation=4), strict=False
         ).schedule(graph.clone())
         stats = speculative.stats.search
         assert stats is not None
@@ -318,9 +319,9 @@ class TestCancellationAccounting:
     def test_serial_search_records_no_speculation_stats(self):
         """K=1 is the same driver over the in-process runner: its ledger
         is populated and shows no speculative work."""
-        result = MirsC(UNIFIED, strict=False, speculation=1).schedule(
-            daxpy()
-        )
+        result = MirsC(
+            UNIFIED, params=MirsParams(speculation=1), strict=False
+        ).schedule(daxpy())
         stats = result.stats.search
         assert isinstance(stats, SearchStats)
         assert (stats.speculation, stats.runner) == (1, "SerialAttemptRunner")
@@ -418,8 +419,7 @@ class TestConvergenceErrorReporting:
         with pytest.raises(ConvergenceError) as err:
             MirsC(
                 self.STARVED,
-                params=MirsParams(ii_search=policy),
-                speculation=3,
+                params=MirsParams(ii_search=policy, speculation=3),
             ).schedule(graph)
         assert err.value.last_ii == mii + 3
         assert err.value.highest_ii == mii + 5
@@ -427,28 +427,3 @@ class TestConvergenceErrorReporting:
     def test_highest_defaults_to_last(self):
         err = ConvergenceError("gave up", last_ii=7)
         assert err.highest_ii == 7
-
-
-# ----------------------------------------------------------------------
-# Request-object plumbing into the speculative search
-# ----------------------------------------------------------------------
-
-
-class TestScheduleRequestSpeculation:
-    def test_request_folds_speculation_into_params(self):
-        request = ScheduleRequest(search="geometric", speculation=4)
-        params = request.resolved_params()
-        assert params.ii_search == "geometric"
-        assert params.effective_speculation() == 4
-
-    def test_conflicting_speculation_is_rejected(self):
-        request = ScheduleRequest(
-            params=MirsParams(speculation=1), speculation=2
-        )
-        with pytest.raises(ConfigError):
-            request.resolved_params()
-
-    def test_request_builds_a_speculative_scheduler(self):
-        scheduler = ScheduleRequest(speculation=2).make_scheduler(UNIFIED)
-        assert isinstance(scheduler, MirsC)
-        assert scheduler.params.effective_speculation() == 2

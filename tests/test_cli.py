@@ -111,3 +111,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "out of range" in err
         assert "1258" in err
+
+    def test_search_flags_key_like_the_python_request(self, tmp_path, monkeypatch):
+        """``--ii-search``/``--speculation`` are spellings of the same
+        MirsParams fields: the CLI run lands in the cache under the key
+        the equivalent Python request computes."""
+        from repro import MirsParams, ScheduleRequest, parse_config
+        from repro.exec import ResultCache, cache_key
+        from repro.workloads.perfect import cached_suite
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        config = "2-(GP4M2-REG64)"
+        argv = ["analyze", "--config", config, "--loops", "1",
+                "--ii-search", "geometric", "--speculation", "2"]
+        assert main(argv) == 0
+        request = ScheduleRequest(
+            params=MirsParams(ii_search="geometric", speculation=2)
+        )
+        graph = cached_suite(1)[0].graph
+        machine = parse_config(config)
+        cache = ResultCache(tmp_path)
+        assert cache.get(
+            cache_key(graph, machine, request.params, request.scheduler)
+        ) is not None
+        assert cache.get(cache_key(graph, machine, None, "mirsc")) is None

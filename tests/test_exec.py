@@ -14,7 +14,7 @@ import pytest
 import repro.exec.engine as engine_module
 from repro.core.mirsc import MirsC
 from repro.core.params import MirsParams
-from repro.core.request import SessionConfig
+from repro.core.request import ScheduleRequest
 from repro.eval.experiments import table1_rows
 from repro.errors import WorkerDiedError
 from repro.eval.runner import bench_loop_count, bench_suite, schedule_suite
@@ -58,32 +58,32 @@ class TestParallelEqualsSequential:
 
     def test_parallel_baseline_scheduler(self):
         machine = paper_configuration(2, None)
-        seq = SuiteExecutor(jobs=1, cache=False).run(machine, LOOPS, "baseline")
-        par = SuiteExecutor(jobs=3, cache=False).run(machine, LOOPS, "baseline")
+        baseline = ScheduleRequest(scheduler="baseline")
+        seq = SuiteExecutor(jobs=1, cache=False).run(machine, LOOPS, baseline)
+        par = SuiteExecutor(jobs=3, cache=False).run(machine, LOOPS, baseline)
         assert fingerprints(seq) == fingerprints(par)
 
     def test_schedule_suite_session_jobs(self):
-        seq = schedule_suite(
-            MACHINE, LOOPS, "mirsc", session=SessionConfig(jobs=1)
-        )
-        par = schedule_suite(
-            MACHINE, LOOPS, "mirsc", session=SessionConfig(jobs=2)
-        )
+        seq = schedule_suite(MACHINE, LOOPS, session=SuiteExecutor(jobs=1))
+        par = schedule_suite(MACHINE, LOOPS, session=SuiteExecutor(jobs=2))
         assert fingerprints(seq.results) == fingerprints(par.results)
 
     def test_legacy_kwargs_raise_with_migration_hint(self):
         # The pre-request keywords are gone: Python's own TypeError.
+        request = ScheduleRequest()
         with pytest.raises(TypeError):
-            schedule_suite(MACHINE, LOOPS, "mirsc", jobs=1)
+            schedule_suite(MACHINE, LOOPS, request, jobs=1)
         with pytest.raises(TypeError):
-            schedule_suite(MACHINE, LOOPS, "mirsc", search="linear")
+            schedule_suite(MACHINE, LOOPS, request, search="linear")
         # The historical 4th positional (params) is no graph list.
         with pytest.raises(TypeError):
-            schedule_suite(MACHINE, LOOPS, "mirsc", MirsParams())
+            schedule_suite(MACHINE, LOOPS, request, MirsParams())
 
     def test_unknown_scheduler_rejected_before_any_work(self):
         with pytest.raises(ValueError):
-            SuiteExecutor(jobs=4, cache=False).run(MACHINE, LOOPS, "magic")
+            SuiteExecutor(jobs=4, cache=False).run(
+                MACHINE, LOOPS, ScheduleRequest(scheduler="magic")
+            )
 
 
 class TestCache:
@@ -118,7 +118,8 @@ class TestCache:
 
         loops = [daxpy()]
         cold = SuiteExecutor(cache=ResultCache(tmp_path))
-        first = cold.run(UNIFIED, loops, "smt")
+        exact = ScheduleRequest(scheduler="smt")
+        first = cold.run(UNIFIED, loops, exact)
         assert cold.stats.scheduled == 1
         assert first[0].oracle is not None
         assert first[0].oracle["status"] == "optimal"
@@ -132,7 +133,7 @@ class TestCache:
 
         monkeypatch.setattr(SmtScheduler, "schedule", counting)
         warm = SuiteExecutor(cache=ResultCache(tmp_path))
-        second = warm.run(UNIFIED, loops, "smt")
+        second = warm.run(UNIFIED, loops, exact)
         assert calls == []
         assert warm.stats.cache_hits == 1
         assert fingerprints(first) == fingerprints(second)

@@ -18,6 +18,7 @@ from repro.eval.experiments import (
     table3_rows,
 )
 from repro.eval.reporting import render_table
+from repro.core.request import ScheduleRequest
 from repro.eval.runner import schedule_suite
 from repro.machine.config import paper_configuration
 from repro.workloads.perfect import cached_suite
@@ -27,19 +28,25 @@ LOOPS = cached_suite(4)
 
 class TestRunner:
     def test_schedule_suite_mirsc(self):
-        run = schedule_suite(paper_configuration(2, 64), LOOPS, "mirsc")
+        run = schedule_suite(paper_configuration(2, 64), LOOPS)
         assert len(run.results) == len(LOOPS)
         assert run.not_converged_count == 0
         assert run.sum_ii() > 0
         assert run.sum_cycles() > 0
 
     def test_schedule_suite_baseline(self):
-        run = schedule_suite(paper_configuration(2, None), LOOPS, "baseline")
+        run = schedule_suite(
+            paper_configuration(2, None), LOOPS,
+            ScheduleRequest(scheduler="baseline"),
+        )
         assert run.sum_ii(run.converged_indices()) == run.sum_ii()
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
-            schedule_suite(paper_configuration(1, 64), LOOPS, "magic")
+            schedule_suite(
+                paper_configuration(1, 64), LOOPS,
+                ScheduleRequest(scheduler="magic"),
+            )
 
 
 class TestTableDrivers:

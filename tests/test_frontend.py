@@ -21,7 +21,7 @@ import pytest
 
 from repro import LoopBuilder, ScheduleRequest, generate_code
 from repro.analysis import certify_code
-from repro.core.request import SessionConfig
+from repro.exec import SuiteExecutor
 from repro.errors import FrontendError
 from repro.frontend import (
     classify_names,
@@ -566,7 +566,7 @@ class TestEndToEnd:
         from repro.eval.experiments import frontend_rows
 
         headers, rows, note = frontend_rows(
-            session=SessionConfig(cache=False),
+            session=SuiteExecutor(cache=False),
             kernels=("saxpy", "ewma2"),
             configs=("1-(GP8M4-REG64)",),
             iterations=12,

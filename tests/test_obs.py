@@ -41,10 +41,9 @@ from repro import (
 )
 from repro.core.attempts import SpeculativeSearchDriver
 from repro.core.params import max_ii_for
-from repro.core.request import SessionConfig
 from repro.errors import ConvergenceError
 from repro.eval.runner import schedule_suite
-from repro.exec import result_fingerprint
+from repro.exec import SuiteExecutor, result_fingerprint
 from repro.exec.cache import ResultCache
 from repro.obs import NULL_TRACER, NullTracer, SearchStats, outcome_histogram
 from repro.obs.export import (
@@ -287,7 +286,8 @@ class TestRaceSpans:
     def test_race_counters_mirror_the_typed_ledger(self):
         tracer = RecordingTracer()
         result = MirsC(
-            UNIFIED, strict=False, speculation=2, tracer=tracer
+            UNIFIED, params=MirsParams(speculation=2), strict=False,
+            tracer=tracer,
         ).schedule(daxpy())
         stats = result.stats.search
         assert isinstance(stats, SearchStats)
@@ -304,9 +304,9 @@ class TestSearchStatsShim:
     def test_serial_shim_is_empty(self):
         """K=1 runs the same driver: the typed ledger is populated and
         records no speculative work."""
-        result = MirsC(UNIFIED, strict=False, speculation=1).schedule(
-            daxpy()
-        )
+        result = MirsC(
+            UNIFIED, params=MirsParams(speculation=1), strict=False
+        ).schedule(daxpy())
         stats = result.stats.search
         assert isinstance(stats, SearchStats)
         assert (stats.speculation, stats.runner) == (1, "SerialAttemptRunner")
@@ -382,12 +382,12 @@ class TestExecTracing:
         cold = RecordingTracer()
         schedule_suite(
             machine, loops, ScheduleRequest(trace=cold),
-            session=SessionConfig(cache=cache),
+            session=SuiteExecutor(cache=cache),
         )
         warm = RecordingTracer()
         schedule_suite(
             machine, loops, ScheduleRequest(trace=warm),
-            session=SessionConfig(cache=cache),
+            session=SuiteExecutor(cache=cache),
         )
         cold_summary = summarize({}, [e.as_dict() for e in cold.events])
         warm_summary = summarize({}, [e.as_dict() for e in warm.events])
@@ -409,10 +409,10 @@ class TestExecTracing:
         tracer = RecordingTracer()
         run = schedule_suite(
             machine, loops, ScheduleRequest(trace=tracer),
-            session=SessionConfig(jobs=2, cache=False),
+            session=SuiteExecutor(jobs=2, cache=False),
         )
         untraced = schedule_suite(
-            machine, loops, None, session=SessionConfig(cache=False)
+            machine, loops, None, session=SuiteExecutor(cache=False)
         )
         assert [result_fingerprint(r) for r in run.results] == [
             result_fingerprint(r) for r in untraced.results

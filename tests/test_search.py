@@ -29,8 +29,10 @@ from repro import (
     MirsC,
     MirsParams,
     OutcomeKind,
+    ScheduleRequest,
 )
 from repro.core.mirsc import Mirs
+from repro.core.params import final_round_cap
 from repro.core.search import POLICIES, canonical_search, make_policy
 from repro.exec import ResultCache, SuiteExecutor, cache_key, result_fingerprint
 from repro.machine.config import parse_config
@@ -59,7 +61,9 @@ def linear_suite(config: str):
 def stress_results(search: str, index: int):
     machine = parse_config("1-(GP8M4-REG64)")
     graph = stress_suite(index + 1)[index]
-    return MirsC(machine, strict=False, search=search).schedule(graph)
+    return MirsC(
+        machine, params=MirsParams(ii_search=search), strict=False
+    ).schedule(graph)
 
 
 def outcome(ii=10, kind=OutcomeKind.BUDGET_EXHAUSTED, deficit=0, **kw):
@@ -95,8 +99,12 @@ class TestLinearEquivalence:
         machine = parse_config(CONFIGS[0])
         loop = cached_suite(1)[0]
         default = MirsC(machine).schedule(loop.graph)
-        explicit = MirsC(machine, search="linear").schedule(loop.graph)
-        instance = MirsC(machine, search=LinearSearch()).schedule(loop.graph)
+        explicit = MirsC(
+            machine, params=MirsParams(ii_search="linear")
+        ).schedule(loop.graph)
+        instance = MirsC(
+            machine, params=MirsParams(ii_search=LinearSearch())
+        ).schedule(loop.graph)
         assert result_fingerprint(default) == result_fingerprint(explicit)
         assert result_fingerprint(default) == result_fingerprint(instance)
 
@@ -132,7 +140,9 @@ class TestPolicyBounds:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_geometric_matches_linear_on_workbench(self, config):
         machine = parse_config(config)
-        engine = MirsC(machine, strict=False, search="geometric")
+        engine = MirsC(
+            machine, params=MirsParams(ii_search="geometric"), strict=False
+        )
         for loop in cached_suite(16):
             lin = linear_suite(config)[loop.graph.name]
             geo = engine.schedule(loop.graph)
@@ -185,30 +195,15 @@ class TestStress2AndRoundCap:
         machine = parse_config("1-(GP8M4-REG64)")
         graph = stress_suite(3)[2]
         with pytest.raises(ConvergenceError):
-            MirsC(machine, search="geometric").schedule(graph)
+            MirsC(
+                machine, params=MirsParams(ii_search="geometric")
+            ).schedule(graph)
 
     def test_round_cap_param(self):
-        params = MirsParams(final_round_cap=5)
-        assert params.final_round_cap_for(1, 1000) == 5
-        derived = MirsParams()
-        assert derived.final_round_cap_for(1, 16) == 3 + 8 + 2
-        assert derived.final_round_cap_for(4, 320) == 12 + 8 + 40
+        assert final_round_cap(1, 16) == 3 + 8 + 2
+        assert final_round_cap(4, 320) == 12 + 8 + 40
         # Scales with the loop, never below the historical constant.
-        assert derived.final_round_cap_for(2, 0) == 3 * 2 + 8
-        with pytest.raises(ConfigError):
-            MirsParams(final_round_cap=0)
-
-    def test_churn_bound_resolution(self):
-        assert MirsParams().effective_bound_eject_churn() is False
-        assert MirsParams(
-            ii_search="geometric"
-        ).effective_bound_eject_churn() is True
-        assert MirsParams(
-            ii_search="geometric", bound_eject_churn=False
-        ).effective_bound_eject_churn() is False
-        assert MirsParams(
-            bound_eject_churn=True
-        ).effective_bound_eject_churn() is True
+        assert final_round_cap(2, 0) == 3 * 2 + 8
 
 
 # ----------------------------------------------------------------------
@@ -251,26 +246,17 @@ class TestCacheKeys:
             "mirsc",
         )
 
-    def test_churn_flag_changes_key(self):
-        graph = cached_suite(1)[0].graph
-        assert cache_key(
-            graph, self.MACHINE, MirsParams(), "mirsc"
-        ) != cache_key(
-            graph, self.MACHINE, MirsParams(bound_eject_churn=True), "mirsc"
-        )
-
     def test_parallel_equals_sequential_under_policy(self):
         """Policy objects ship to worker processes with the params."""
-        from repro.core.request import ScheduleRequest, SessionConfig
         from repro.eval.runner import schedule_suite
 
         loops = cached_suite(3)
-        request = ScheduleRequest(search="geometric")
+        request = ScheduleRequest(params=MirsParams(ii_search="geometric"))
         seq = schedule_suite(
-            self.MACHINE, loops, request, session=SessionConfig(jobs=1)
+            self.MACHINE, loops, request, session=SuiteExecutor(jobs=1)
         )
         par = schedule_suite(
-            self.MACHINE, loops, request, session=SessionConfig(jobs=2)
+            self.MACHINE, loops, request, session=SuiteExecutor(jobs=2)
         )
         assert [result_fingerprint(r) for r in seq.results] == [
             result_fingerprint(r) for r in par.results
@@ -279,20 +265,20 @@ class TestCacheKeys:
     def test_same_policy_warm_hit_different_policy_miss(self, tmp_path):
         loops = cached_suite(2)
         cache = ResultCache(tmp_path)
-        linear_params = MirsParams(ii_search="linear")
-        geo_params = MirsParams(ii_search="geometric")
+        linear = ScheduleRequest(params=MirsParams(ii_search="linear"))
+        geometric = ScheduleRequest(params=MirsParams(ii_search="geometric"))
 
         cold = SuiteExecutor(cache=cache)
-        cold.run(self.MACHINE, loops, linear_params)
+        cold.run(self.MACHINE, loops, linear)
         assert cold.stats.scheduled == len(loops)
 
         warm = SuiteExecutor(cache=cache)
-        warm.run(self.MACHINE, loops, linear_params)
+        warm.run(self.MACHINE, loops, linear)
         assert warm.stats.scheduled == 0
         assert warm.stats.cache_hits == len(loops)
 
         other = SuiteExecutor(cache=cache)
-        other.run(self.MACHINE, loops, geo_params)
+        other.run(self.MACHINE, loops, geometric)
         assert other.stats.cache_hits == 0
         assert other.stats.scheduled == len(loops)
 
@@ -399,7 +385,9 @@ class TestPolicyUnits:
 
     def test_mirs_accepts_search(self):
         machine = parse_config("1-(GP8M4-REG64)")
-        result = Mirs(machine, search="geometric").schedule(
+        result = Mirs(
+            machine, params=MirsParams(ii_search="geometric")
+        ).schedule(
             cached_suite(1)[0].graph
         )
         assert result.converged
