@@ -8,18 +8,19 @@ any legal modulo schedule satisfies, for every circuit ``C``::
 ``RecMII`` is the maximum of this bound over all circuits.  Enumerating
 circuits is exponential, so we instead binary-search the smallest II for
 which the edge weights ``latency(e) - II * distance(e)`` admit no
-positive-weight cycle, checked with a vectorized Floyd-Warshall longest
-path closure (max-plus algebra) - an exact, polynomial algorithm.
+positive-weight cycle - an exact, polynomial algorithm.  Every circuit
+lies inside one strongly connected component, so the search runs per
+component, and each probe is a sparse Bellman-Ford longest-path pass
+over that component's edges alone (O(V * E), with an early exit on the
+first round that changes nothing).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from collections.abc import Sequence
-
-import networkx as nx
-import numpy as np
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.errors import GraphError
 from repro.graph.ddg import DependenceGraph
@@ -44,50 +45,98 @@ class Recurrence:
         return len(self.nodes)
 
 
-def _to_networkx(graph: DependenceGraph) -> nx.MultiDiGraph:
-    result = nx.MultiDiGraph()
-    result.add_nodes_from(graph.node_ids())
-    for edge in graph.edges():
-        result.add_edge(edge.src, edge.dst)
-    return result
+def strongly_connected_components(
+    nodes: Iterable[int], successors: Callable[[int], Iterable[int]]
+) -> list[list[int]]:
+    """Tarjan's strongly connected components, without recursion.
+
+    Components come out in *reverse topological order* of the
+    condensation: when an edge leads from component ``A`` to a different
+    component ``B``, ``B`` is emitted before ``A``.  The result depends
+    only on the iteration order of ``nodes`` and ``successors``, so it is
+    deterministic for deterministic inputs.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[list[int]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            node, pending = work[-1]
+            for succ in pending:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(successors(succ))))
+                    break
+                if succ in on_stack and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
 def _has_positive_cycle(
-    weights: np.ndarray, distances: np.ndarray, ii: int
+    n: int, edges: list[tuple[int, int, int, int]], ii: int
 ) -> bool:
-    """True if ``weights - ii * distances`` contains a positive cycle.
+    """True if the weights ``latency - ii * distance`` admit a positive cycle.
 
-    Both inputs are dense ``n x n`` max-plus adjacency matrices with
-    ``-inf`` marking absent edges (parallel edges already collapsed to the
-    most constraining one per candidate II by the caller).
+    Bellman-Ford longest paths over ``n`` vertices from a virtual source
+    joined to every vertex (so every potential starts at 0).  Without a
+    positive cycle the potentials settle within ``n - 1`` rounds; a
+    relaxation in round ``n`` proves the cycle.
     """
-    matrix = weights - ii * distances
-    n = matrix.shape[0]
-    closure = matrix.copy()
-    for k in range(n):
-        via_k = closure[:, k, None] + closure[None, k, :]
-        np.maximum(closure, via_k, out=closure)
-    return bool((np.diagonal(closure) > 0).any())
+    weighted = [(si, di, lat - ii * dist) for si, di, lat, dist in edges]
+    potential = [0] * n
+    for _ in range(n):
+        changed = False
+        for si, di, weight in weighted:
+            candidate = potential[si] + weight
+            if candidate > potential[di]:
+                potential[di] = candidate
+                changed = True
+        if not changed:
+            return False
+    return True
 
 
-def _dense_matrices(
+def _component_edges(
     graph: DependenceGraph,
     machine: MachineConfig,
     node_ids: Sequence[int],
 ) -> list[tuple[int, int, int, int]]:
-    """Edge list restricted to ``node_ids`` as (si, di, latency, distance)."""
+    """Edges inside ``node_ids`` as (src index, dst index, latency, distance)."""
     index = {node_id: i for i, node_id in enumerate(node_ids)}
     rows = []
-    for edge in graph.edges():
-        if edge.src in index and edge.dst in index:
-            rows.append(
-                (
-                    index[edge.src],
-                    index[edge.dst],
-                    edge_latency(graph, edge, machine),
-                    edge.distance,
+    for node_id in node_ids:
+        si = index[node_id]
+        for edge in graph.out_edges(node_id):
+            di = index.get(edge.dst)
+            if di is not None:
+                rows.append(
+                    (si, di, edge_latency(graph, edge, machine), edge.distance)
                 )
-            )
     return rows
 
 
@@ -97,22 +146,13 @@ def _rec_mii_of(
     node_ids: Sequence[int],
 ) -> int:
     """Exact RecMII over the subgraph induced by ``node_ids``."""
-    edges = _dense_matrices(graph, machine, node_ids)
+    edges = _component_edges(graph, machine, node_ids)
     if not edges:
         return 1
     n = len(node_ids)
 
     def feasible(ii: int) -> bool:
-        weights = np.full((n, n), -np.inf)
-        distances = np.zeros((n, n))
-        # Collapse parallel edges to the most constraining weight at this
-        # candidate II.
-        for si, di, lat, dist in edges:
-            w = lat - ii * dist
-            if w > weights[si, di] - ii * distances[si, di]:
-                weights[si, di] = lat
-                distances[si, di] = dist
-        return not _has_positive_cycle(weights, distances, ii)
+        return not _has_positive_cycle(n, edges, ii)
 
     low = 1
     high = max(1, sum(lat for (_, _, lat, _) in edges))
@@ -142,14 +182,11 @@ def find_recurrences(
     Ties are broken by component size (larger first) and then by the
     smallest member id, so the result is deterministic.
     """
-    digraph = _to_networkx(graph)
     recurrences = []
-    for component in nx.strongly_connected_components(digraph):
+    for component in strongly_connected_components(graph.node_ids(), graph.succs):
         nodes = frozenset(component)
         is_cyclic = len(nodes) > 1 or any(
-            edge.dst == edge.src
-            for node_id in nodes
-            for edge in graph.out_edges(node_id)
+            edge.dst == edge.src for edge in graph.out_edges(component[0])
         )
         if not is_cyclic:
             continue
@@ -160,10 +197,14 @@ def find_recurrences(
 
 
 def recurrence_mii(graph: DependenceGraph, machine: MachineConfig) -> int:
-    """RecMII of the whole graph (1 if the graph is acyclic)."""
-    if len(graph) == 0:
-        return 1
-    return _rec_mii_of(graph, machine, graph.node_ids())
+    """RecMII of the whole graph (1 if the graph is acyclic).
+
+    Every circuit lies inside one strongly connected component, so this
+    is the largest per-component bound.
+    """
+    return max(
+        (r.rec_mii for r in find_recurrences(graph, machine)), default=1
+    )
 
 
 def recurrence_nodes(recurrences: list[Recurrence]) -> set[int]:
@@ -179,21 +220,25 @@ def circuit_bound(
 ) -> int:
     """RecMII bound of one explicit circuit (mainly for tests).
 
-    ``circuit`` is a node sequence; the edge chosen between consecutive
-    nodes is the most constraining parallel edge.
+    ``circuit`` is a node sequence.  Parallel edges between consecutive
+    nodes make several edge circuits through the same nodes; the bound is
+    the largest among them.
     """
-    total_latency = 0
-    total_distance = 0
+    hops = []
     for src, dst in zip(circuit, list(circuit[1:]) + [circuit[0]], strict=True):
-        candidates = [e for e in graph.out_edges(src) if e.dst == dst]
+        candidates = [
+            (edge_latency(graph, e, machine), e.distance)
+            for e in graph.out_edges(src)
+            if e.dst == dst
+        ]
         if not candidates:
             raise ValueError(f"no edge {src} -> {dst} in circuit")
-        best = max(
-            candidates,
-            key=lambda e: (edge_latency(graph, e, machine), -e.distance),
-        )
-        total_latency += edge_latency(graph, best, machine)
-        total_distance += best.distance
-    if total_distance == 0:
-        raise ValueError("circuit with zero total distance is unschedulable")
-    return math.ceil(total_latency / total_distance)
+        hops.append(candidates)
+    bound = 0
+    for choice in itertools.product(*hops):
+        total_distance = sum(distance for _, distance in choice)
+        if total_distance == 0:
+            raise ValueError("circuit with zero total distance is unschedulable")
+        total_latency = sum(latency for latency, _ in choice)
+        bound = max(bound, math.ceil(total_latency / total_distance))
+    return bound

@@ -20,17 +20,23 @@ consumed by alternating top-down passes (following successor edges from
 ordered nodes) and bottom-up passes (following predecessor edges), exactly
 the mechanism that guarantees property 2.  See DESIGN.md substitution
 note (a).
+
+The sweeps are steered by each node's depth and height, longest latency
+paths over the *condensation* of the graph (recurrences collapsed to one
+vertex).  Its components come from the shared Tarjan routine
+(:func:`repro.graph.recurrences.strongly_connected_components`), which
+emits them in reverse topological order, so the longest paths need no
+separate topological sort.
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-import networkx as nx
+from collections.abc import Callable, Iterable
 
 from repro.graph.ddg import DependenceGraph
 from repro.graph.latency import edge_latency
-from repro.graph.recurrences import find_recurrences
+from repro.graph.recurrences import find_recurrences, strongly_connected_components
 from repro.machine.config import MachineConfig
 
 
@@ -59,58 +65,44 @@ def _depths_and_heights(
     Computed on the *condensation* of the full dependence graph: strongly
     connected components collapse to single vertices, so every remaining
     edge (including loop-carried ones between different components)
-    contributes its latency.  Heights then decrease *strictly* along
+    contributes its latency, while self-loops and other edges inside a
+    component contribute nothing.  Heights then decrease *strictly* along
     every inter-component edge, which is what guarantees that the
     max-height sweeps below order predecessors before successors
     everywhere outside recurrence circuits.
+
+    Tarjan emits the components in reverse topological order, so one
+    forward pass settles every height (a component's successors come
+    before it) and one backward pass settles every depth.
     """
-    digraph = _full_digraph(graph)
-    components = list(nx.strongly_connected_components(digraph))
+    components = strongly_connected_components(graph.node_ids(), graph.succs)
     component_of = {
         node: index
         for index, members in enumerate(components)
         for node in members
     }
-    dag = nx.DiGraph()
-    dag.add_nodes_from(range(len(components)))
-    latency: dict[tuple[int, int], int] = {}
+    # (successor component, latency) per component, parallel edges kept:
+    # the max() below picks the most constraining one.
+    successors: list[list[tuple[int, int]]] = [[] for _ in components]
     for edge in graph.edges():
         src_c = component_of[edge.src]
         dst_c = component_of[edge.dst]
-        if src_c == dst_c:
-            continue
-        lat = edge_latency(graph, edge, machine)
-        key = (src_c, dst_c)
-        latency[key] = max(latency.get(key, 0), lat)
-        dag.add_edge(src_c, dst_c)
+        if src_c != dst_c:
+            successors[src_c].append((dst_c, edge_latency(graph, edge, machine)))
 
-    order = list(nx.topological_sort(dag))
-    comp_depth = {c: 0 for c in order}
-    for component in order:
-        for pred in dag.predecessors(component):
-            comp_depth[component] = max(
-                comp_depth[component],
-                comp_depth[pred] + latency[(pred, component)],
-            )
-    comp_height = {c: 0 for c in order}
-    for component in reversed(order):
-        for succ in dag.successors(component):
-            comp_height[component] = max(
-                comp_height[component],
-                comp_height[succ] + latency[(component, succ)],
-            )
+    comp_height = [0] * len(components)
+    for component, out in enumerate(successors):
+        for succ, lat in out:
+            if comp_height[succ] + lat > comp_height[component]:
+                comp_height[component] = comp_height[succ] + lat
+    comp_depth = [0] * len(components)
+    for component in reversed(range(len(components))):
+        for succ, lat in successors[component]:
+            if comp_depth[component] + lat > comp_depth[succ]:
+                comp_depth[succ] = comp_depth[component] + lat
     depth = {node: comp_depth[component_of[node]] for node in graph.node_ids()}
     height = {node: comp_height[component_of[node]] for node in graph.node_ids()}
     return depth, height
-
-
-def _full_digraph(graph: DependenceGraph) -> nx.DiGraph:
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.node_ids())
-    for edge in graph.edges():
-        if edge.src != edge.dst:
-            digraph.add_edge(edge.src, edge.dst)
-    return digraph
 
 
 def _priority_node_sets(
@@ -124,15 +116,13 @@ def _priority_node_sets(
     The leftovers are grouped by weakly connected component.
     """
     recurrences = find_recurrences(graph, machine)
-    digraph = _full_digraph(graph)
     sets: list[set[int]] = []
     consumed: set[int] = set()
     for recurrence in recurrences:
         members = set(recurrence.nodes)
         if consumed:
-            path_nodes: set[int] = set()
-            down = _reachable(digraph, consumed) & _reaching(digraph, members)
-            up = _reachable(digraph, members) & _reaching(digraph, consumed)
+            down = _closure(graph.succs, consumed) & _closure(graph.preds, members)
+            up = _closure(graph.succs, members) & _closure(graph.preds, consumed)
             path_nodes = (down | up) - consumed - members
             if path_nodes:
                 sets.append(path_nodes)
@@ -141,12 +131,16 @@ def _priority_node_sets(
         consumed |= members
     rest = set(graph.node_ids()) - consumed
     if rest:
-        undirected = digraph.to_undirected()
-        components = [
-            set(component) & rest
-            for component in nx.connected_components(undirected)
-        ]
-        components = [c for c in components if c]
+        # Weak components of the whole graph, restricted to the leftovers.
+        seen: set[int] = set()
+        components = []
+        for node in graph.node_ids():
+            if node in rest and node not in seen:
+                component = _closure(
+                    lambda n: graph.succs(n) | graph.preds(n), {node}
+                )
+                seen |= component
+                components.append(component & rest)
         components.sort(key=lambda c: (-len(c), min(c)))
         sets.extend(components)
     recurrence_ids = frozenset(
@@ -155,27 +149,17 @@ def _priority_node_sets(
     return sets, recurrence_ids
 
 
-def _reachable(digraph: nx.DiGraph, sources: set[int]) -> set[int]:
+def _closure(step: Callable[[int], Iterable[int]], sources: set[int]) -> set[int]:
+    """``sources`` plus every node reachable from them through ``step``
+    (``graph.succs`` walks forward, ``graph.preds`` backward)."""
     seen = set(sources)
     frontier = list(sources)
     while frontier:
         node = frontier.pop()
-        for succ in digraph.successors(node):
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    return seen
-
-
-def _reaching(digraph: nx.DiGraph, targets: set[int]) -> set[int]:
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        node = frontier.pop()
-        for pred in digraph.predecessors(node):
-            if pred not in seen:
-                seen.add(pred)
-                frontier.append(pred)
+        for neighbour in step(node):
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
     return seen
 
 

@@ -24,8 +24,7 @@ no longer runs this per placement.
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
+import itertools
 
 from repro.graph.ddg import DepKind, DependenceGraph, Node
 from repro.machine.config import MachineConfig
@@ -98,19 +97,17 @@ class ValueLifetime:
 class ClusterPressure:
     """Register pressure snapshot of one cluster."""
 
-    rows: np.ndarray  # live-variant count per MRT row
+    rows: list[int]  # live-variant count per MRT row
     invariant_registers: int
 
     @property
     def max_live(self) -> int:
-        variant = int(self.rows.max()) if self.rows.size else 0
-        return variant + self.invariant_registers
+        return max(self.rows, default=0) + self.invariant_registers
 
     @property
     def critical_row(self) -> int:
-        if self.rows.size == 0:
-            return 0
-        return int(self.rows.argmax())
+        # The first row among equals, like the tracker's.
+        return self.rows.index(max(self.rows)) if self.rows else 0
 
 
 class LifetimeAnalysis:
@@ -206,10 +203,9 @@ class LifetimeAnalysis:
 
         invariant_counts = self._invariant_registers()
         for cluster in range(self.machine.clusters):
-            rows = np.asarray(diffs[cluster][:ii], dtype=np.int64).cumsum()
-            rows += bases[cluster]
+            base = bases[cluster]
             self.pressure[cluster] = ClusterPressure(
-                rows=rows,
+                rows=[base + r for r in itertools.accumulate(diffs[cluster][:ii])],
                 invariant_registers=invariant_counts.get(cluster, 0),
             )
 

@@ -25,12 +25,12 @@ Per cluster the live-variant counts are a scalar **base** (the full II
 periods of every lifetime, which cover all rows alike) plus a plain list
 of II row counts that only the remainder of each lifetime is folded
 into.  MaxLive is ``base + max(rows)`` and the critical row is
-``rows.index(max(rows))`` (numpy's first-index ``argmax`` tie-break).
-At workbench IIs (4-26) a list fold costs less than a numpy call's
-fixed overhead, at stress IIs (about 90) about the same; numpy stays at
-the batch boundary (:class:`LifetimeAnalysis`, the ``pressure`` snapshot
-and the self-check comparisons).  A refresh that leaves a value's
-lifetime where it was folds nothing.
+``rows.index(max(rows))``, the first row among equals.  At IIs up to
+about 90 a list fold costs no more than an array-library call's fixed
+overhead, so plain integer lists are used throughout: here, in
+:class:`LifetimeAnalysis`, in the ``pressure`` snapshot and in the
+self-check comparisons.  A refresh that leaves a value's lifetime
+where it was folds nothing.
 
 Loop-invariant register counts are cached between the events that can
 change them: a place or eject of a node that reads an invariant, an edit
@@ -50,8 +50,6 @@ results, and this cross-check.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.env import env_flag
 from repro.graph.ddg import DepKind, DependenceGraph, Edge, Node
@@ -456,7 +454,7 @@ class PressureTracker:
         counts = self._invariant_registers()
         return {
             cluster: ClusterPressure(
-                rows=np.array(self.variant_rows(cluster), dtype=np.int64),
+                rows=self.variant_rows(cluster),
                 invariant_registers=counts.get(cluster, 0),
             )
             for cluster in range(self.machine.clusters)
@@ -523,12 +521,11 @@ class PressureTracker:
         counts = self._invariant_registers()
         for cluster in range(self.machine.clusters):
             expected = scratch.pressure[cluster]
-            got_rows = np.array(self.variant_rows(cluster), dtype=np.int64)
-            if not np.array_equal(got_rows, expected.rows):
+            got_rows = self.variant_rows(cluster)
+            if got_rows != expected.rows:
                 raise AssertionError(
                     f"pressure rows diverged in cluster {cluster}: "
-                    f"tracker={got_rows.tolist()} "
-                    f"scratch={expected.rows.tolist()}"
+                    f"tracker={got_rows} scratch={expected.rows}"
                 )
             if counts.get(cluster, 0) != expected.invariant_registers:
                 raise AssertionError(

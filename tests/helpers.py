@@ -311,3 +311,77 @@ class ReferenceMRT:
         if tables is None:
             return 0.0
         return sum(map(len, tables)) / (len(tables) * self.ii) if tables else 1.0
+
+
+# ----------------------------------------------------------------------
+# Random dependence multigraphs and naive graph oracles
+# ----------------------------------------------------------------------
+
+#: (node count, edges) with edges as (src, dst, latency, distance):
+#: parallel edges and self-loops allowed, zero-distance circuits too.
+multigraph_specs = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.integers(1, 9),
+                st.integers(0, 3),
+            ),
+            max_size=16,
+        ),
+    )
+)
+
+
+def multigraph(spec) -> DependenceGraph:
+    """Build a :data:`multigraph_specs` draw: one ADD per node, every
+    edge with its explicit latency."""
+    count, edges = spec
+    graph = DependenceGraph("multigraph")
+    ids = [graph.new_node(OpKind.ADD).id for _ in range(count)]
+    for src, dst, latency, distance in edges:
+        graph.add_edge(ids[src], ids[dst], distance=distance, latency=latency)
+    return graph
+
+
+def reachable_from(graph: DependenceGraph, node: int) -> set[int]:
+    """Nodes reachable from ``node`` over one or more edges."""
+    seen: set[int] = set()
+    frontier = [node]
+    while frontier:
+        for succ in graph.succs(frontier.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return seen
+
+
+def mutual_reachability_partition(graph: DependenceGraph) -> set[frozenset[int]]:
+    """Strongly connected components by definition: ``u`` and ``v`` share
+    one when each reaches the other (or ``u == v``)."""
+    reach = {node: reachable_from(graph, node) for node in graph.node_ids()}
+    return {
+        frozenset(
+            v for v in graph.node_ids() if v == u or (v in reach[u] and u in reach[v])
+        )
+        for u in graph.node_ids()
+    }
+
+
+def elementary_circuits(graph: DependenceGraph) -> list[list[int]]:
+    """Every elementary circuit as a node sequence, by brute-force DFS
+    (each one rooted at its smallest node)."""
+    circuits = []
+
+    def extend(path: list[int]) -> None:
+        for succ in sorted(graph.succs(path[-1])):
+            if succ == path[0]:
+                circuits.append(list(path))
+            elif succ > path[0] and succ not in path:
+                extend(path + [succ])
+
+    for root in graph.node_ids():
+        extend([root])
+    return circuits

@@ -1,9 +1,11 @@
 """Unit and property tests for the HRMS-style pre-ordering."""
 
+import functools
+
 from hypothesis import given, settings
 
 from repro import LoopBuilder, find_recurrences, hrms_order
-from repro.order.hrms import ordering_property_violations
+from repro.order.hrms import _depths_and_heights, ordering_property_violations
 
 from tests.helpers import (
     UNIFIED,
@@ -11,6 +13,9 @@ from tests.helpers import (
     daxpy,
     graph_seeds,
     graph_sizes,
+    multigraph,
+    multigraph_specs,
+    mutual_reachability_partition,
     random_graph,
     reduction,
 )
@@ -100,3 +105,35 @@ class TestNeighbourProperty:
         assert len(violations) <= max(allowed, 0)
         for violation in violations:
             assert any(violation in r.nodes for r in recurrences)
+
+
+class TestDepthHeight:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=multigraph_specs)
+    def test_longest_paths_over_the_condensation(self, spec):
+        """Depth and height equal a naive longest path over the
+        condensation built from mutual reachability."""
+        graph = multigraph(spec)
+        component_of = {
+            node: component
+            for component in mutual_reachability_partition(graph)
+            for node in component
+        }
+        arcs = [
+            (component_of[e.src], component_of[e.dst], e.latency)
+            for e in graph.edges()
+            if component_of[e.src] != component_of[e.dst]
+        ]
+
+        @functools.cache
+        def height(component):
+            return max((lat + height(d) for s, d, lat in arcs if s == component), default=0)
+
+        @functools.cache
+        def depth(component):
+            return max((depth(s) + lat for s, d, lat in arcs if d == component), default=0)
+
+        depths, heights = _depths_and_heights(graph, UNIFIED)
+        for node in graph.node_ids():
+            assert depths[node] == depth(component_of[node])
+            assert heights[node] == height(component_of[node])

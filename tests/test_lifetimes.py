@@ -36,7 +36,7 @@ class TestMaxLive:
         analysis = LifetimeAnalysis(graph, schedule, UNIFIED)
         lifetime = [lt for lt in analysis.lifetimes if lt.value == x.id][0]
         assert lifetime.length == 6
-        assert analysis.pressure[0].rows.min() >= 3
+        assert min(analysis.pressure[0].rows) >= 3
 
     def test_loop_carried_use_extends_lifetime(self):
         b = LoopBuilder("lc")

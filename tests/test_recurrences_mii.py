@@ -1,6 +1,8 @@
 """Unit tests for recurrence analysis and MII computation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     GraphError,
@@ -11,9 +13,19 @@ from repro import (
     recurrence_mii,
     resource_mii,
 )
-from repro.graph.recurrences import circuit_bound
+from repro.graph.recurrences import circuit_bound, strongly_connected_components
 
-from tests.helpers import UNIFIED, chain, daxpy, reduction, wide
+from tests.helpers import (
+    UNIFIED,
+    chain,
+    daxpy,
+    elementary_circuits,
+    multigraph,
+    multigraph_specs,
+    mutual_reachability_partition,
+    reduction,
+    wide,
+)
 
 
 class TestRecMII:
@@ -72,6 +84,64 @@ class TestRecMII:
         graph.add_edge(v.id, u.id)  # distance 0 back edge: illegal circuit
         with pytest.raises(GraphError):
             recurrence_mii(graph, UNIFIED)
+
+
+class TestAgainstBruteForce:
+    """Tarjan SCCs and per-component RecMII on random multigraphs
+    (parallel edges, self-loops, distances 0-3) against definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=multigraph_specs)
+    def test_recurrence_mii_is_the_largest_circuit_bound(self, spec):
+        graph = multigraph(spec)
+        circuits = elementary_circuits(graph)
+        try:
+            bounds = [circuit_bound(graph, UNIFIED, c) for c in circuits]
+        except ValueError:
+            # Some circuit has zero total distance (latencies are >= 1).
+            with pytest.raises(GraphError):
+                recurrence_mii(graph, UNIFIED)
+            return
+        assert recurrence_mii(graph, UNIFIED) == max(bounds, default=1)
+        recurrences = find_recurrences(graph, UNIFIED)
+        assert {n for r in recurrences for n in r.nodes} == {
+            n for c in circuits for n in c
+        }
+        for recurrence in recurrences:
+            assert recurrence.rec_mii == max(
+                b
+                for c, b in zip(circuits, bounds, strict=True)
+                if set(c) <= recurrence.nodes
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=multigraph_specs, data=st.data())
+    def test_zero_distance_circuit_raises(self, spec, data):
+        graph = multigraph(spec)
+        cycle = data.draw(
+            st.lists(st.sampled_from(graph.node_ids()), min_size=1, unique=True)
+        )
+        for src, dst in zip(cycle, cycle[1:] + cycle[:1], strict=True):
+            graph.add_edge(src, dst, distance=0, latency=data.draw(st.integers(1, 9)))
+        with pytest.raises(GraphError):
+            recurrence_mii(graph, UNIFIED)
+        with pytest.raises(GraphError):
+            find_recurrences(graph, UNIFIED)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=multigraph_specs)
+    def test_tarjan_partition_is_mutual_reachability(self, spec):
+        graph = multigraph(spec)
+        components = strongly_connected_components(graph.node_ids(), graph.succs)
+        assert sum(len(c) for c in components) == len(graph)
+        assert {frozenset(c) for c in components} == mutual_reachability_partition(
+            graph
+        )
+        # Reverse topological order: an edge never points to a later
+        # component.
+        position = {node: i for i, c in enumerate(components) for node in c}
+        for edge in graph.edges():
+            assert position[edge.dst] <= position[edge.src]
 
 
 class TestResMII:
