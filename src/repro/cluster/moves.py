@@ -53,22 +53,23 @@ def next_needed_move(
     value moved here.  Consumer side: each foreign cluster holding
     scheduled consumers of this node's value needs one move from here.
     """
+    if state.machine.clusters == 1:
+        return None  # one cluster: every value is already local
     graph = state.graph
-    schedule = state.schedule
+    placed = state.schedule._cluster
 
     # Operand side.
     by_producer: dict[int, list[Edge]] = {}
-    for edge in graph.in_edges(node.id):
+    for edge in graph._in[node.id]:
         if edge.kind is not DepKind.REG or edge.src == node.id:
             continue
-        if not schedule.is_scheduled(edge.src):
-            continue
-        if schedule.cluster(edge.src) != cluster:
+        producer_cluster = placed.get(edge.src)
+        if producer_cluster is not None and producer_cluster != cluster:
             by_producer.setdefault(edge.src, []).append(edge)
     for producer, edges in sorted(by_producer.items()):
         return MovePlan(
             producer=producer,
-            src_cluster=schedule.cluster(producer),
+            src_cluster=placed[producer],
             dst_cluster=cluster,
             edges=tuple(edges),
         )
@@ -76,18 +77,17 @@ def next_needed_move(
     # Consumer side.
     if node.produces_value:
         by_cluster: dict[int, list[Edge]] = {}
-        for edge in graph.out_edges(node.id):
+        for edge in graph._out[node.id]:
             if edge.kind is not DepKind.REG or edge.dst == node.id:
                 continue
-            if not schedule.is_scheduled(edge.dst):
+            consumer_cluster = placed.get(edge.dst)
+            if consumer_cluster is None:
                 continue
-            consumer = graph.node(edge.dst)
+            consumer = graph._nodes[edge.dst]
             if consumer.is_move and consumer.src_cluster is not None:
                 # A consumer that is itself a move reads the value in its
                 # declared source cluster (chained communications).
                 consumer_cluster = consumer.src_cluster
-            else:
-                consumer_cluster = schedule.cluster(edge.dst)
             if consumer_cluster != cluster:
                 by_cluster.setdefault(consumer_cluster, []).append(edge)
         for dst_cluster, edges in sorted(by_cluster.items()):

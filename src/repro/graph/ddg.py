@@ -110,7 +110,10 @@ class Node:
         return self.kind.produces_value
 
     def clone(self) -> "Node":
-        return dataclasses.replace(self)
+        # A field copy: ``dataclasses.replace`` would rerun __init__.
+        copy = object.__new__(Node)
+        copy.__dict__ = self.__dict__.copy()
+        return copy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,8 +256,10 @@ class DependenceGraph:
             listener.on_node_removed(node_id)
 
     def node(self, node_id: int) -> Node:
-        self._require(node_id)
-        return self._nodes[node_id]
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            raise GraphError(f"unknown node {node_id}") from None
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._nodes
@@ -405,18 +410,22 @@ class DependenceGraph:
         copy = DependenceGraph(name=self.name, trip_count=self.trip_count)
         copy.unroll_factor = self.unroll_factor
         copy.source_trip_count = self.source_trip_count
-        for node in self._nodes.values():
-            copy.add_node(node.clone())
-        for edge in self.edges():
-            copy.add_edge(
-                edge.src,
-                edge.dst,
-                kind=edge.kind,
-                distance=edge.distance,
-                latency=edge.latency,
-            )
-        for inv in self._invariants.values():
-            copy._invariants[inv.id] = inv.clone()
+        copy._nodes = {
+            node_id: node.clone() for node_id, node in self._nodes.items()
+        }
+        # Edges are frozen, so both copies share them.  The in-lists are
+        # rebuilt in out-list order, the order an edge-by-edge re-add
+        # gives them.
+        copy._out = {node_id: list(self._out[node_id]) for node_id in self._nodes}
+        incoming: dict[int, list[Edge]] = {node_id: [] for node_id in self._nodes}
+        for edges in copy._out.values():
+            for edge in edges:
+                incoming[edge.dst].append(edge)
+        copy._in = incoming
+        copy._invariants = {
+            inv.id: inv.clone() for inv in self._invariants.values()
+        }
+        copy._next_id = itertools.count(max(self._nodes, default=-1) + 1)
         return copy
 
     # ------------------------------------------------------------------

@@ -14,6 +14,8 @@ from repro.machine.config import MachineConfig
 #: Default latency of memory/control (ordering-only) dependences.
 ORDERING_LATENCY = 1
 
+_REG = DepKind.REG
+
 
 def node_latency(node: Node, machine: MachineConfig) -> int:
     """Latency of an operation, honoring any per-node override."""
@@ -28,6 +30,9 @@ def edge_latency(
     """Latency of a dependence edge."""
     if edge.latency is not None:
         return edge.latency
-    if edge.kind is DepKind.REG:
-        return node_latency(graph.node(edge.src), machine)
+    if edge.kind is _REG:
+        producer = graph._nodes[edge.src]
+        if producer.latency_override is not None:
+            return producer.latency_override
+        return machine.latency(producer.kind)
     return ORDERING_LATENCY

@@ -18,13 +18,16 @@ This is the *batch* analysis: it is built once per finished schedule
 reference implementation for the per-placement incremental engine in
 :mod:`repro.schedule.pressure`, which must stay bit-identical to it
 (``PressureTracker.assert_matches_scratch``).  The scheduler's hot path
-no longer runs this per placement.
+no longer runs this per placement.  Both classes satisfy
+:class:`PressureView`, the query surface the spill heuristic and the
+register allocator read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+from typing import Protocol
 
 from repro.graph.ddg import DepKind, DependenceGraph, Node
 from repro.machine.config import MachineConfig
@@ -69,14 +72,10 @@ class UseSegment:
         return self.start >= self.non_spillable_end
 
     def crosses_row(self, row: int, ii: int) -> bool:
-        """True if some cycle of [start, end) is congruent to ``row``."""
-        if self.span >= ii:
-            return True
-        first = self.start % ii
-        last = (self.end - 1) % ii
-        if first <= last:
-            return first <= row <= last
-        return row >= first or row <= last
+        """True if some cycle of [start, end) is congruent to ``row``
+        (never for an empty section)."""
+        span = self.end - self.start
+        return span > 0 and (span >= ii or (row - self.start) % ii < span)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,6 +107,26 @@ class ClusterPressure:
     def critical_row(self) -> int:
         # The first row among equals, like the tracker's.
         return self.rows.index(max(self.rows)) if self.rows else 0
+
+
+class PressureView(Protocol):
+    """The pressure queries the spill heuristic and the register allocator
+    read: served by the batch :class:`LifetimeAnalysis` and by the
+    incremental :class:`~repro.schedule.pressure.PressureTracker` alike."""
+
+    @property
+    def lifetimes(self) -> list[ValueLifetime]: ...
+
+    @property
+    def pressure(self) -> dict[int, ClusterPressure]: ...
+
+    def max_live(self, cluster: int) -> int: ...
+
+    def critical_row(self, cluster: int) -> int: ...
+
+    def segments_crossing(self, cluster: int, row: int) -> list[UseSegment]: ...
+
+    def lifetime_length(self, node_id: int) -> int: ...
 
 
 class LifetimeAnalysis:
@@ -277,3 +296,17 @@ class LifetimeAnalysis:
 
     def segments_in_cluster(self, cluster: int) -> list[UseSegment]:
         return [s for s in self.segments if s.cluster == cluster]
+
+    def segments_crossing(self, cluster: int, row: int) -> list[UseSegment]:
+        """The cluster's use segments that cross MRT ``row``."""
+        return [
+            s for s in self.segments_in_cluster(cluster)
+            if s.crosses_row(row, self.ii)
+        ]
+
+    def lifetime_length(self, node_id: int) -> int:
+        """Lifetime length of a value, 0 when it has none (e.g. stores)."""
+        for lifetime in self.lifetimes:
+            if lifetime.value == node_id:
+                return lifetime.length
+        return 0

@@ -204,11 +204,14 @@ class ModuloReservationTable:
         src_cluster: int | None = None,
     ) -> bool:
         """True if the node fits at (cluster, cycle) without conflicts."""
-        groups = self._groups(node, cluster, cycle, src_cluster)
-        if groups is None:
+        plan = self._plan(node, src_cluster)
+        if plan.collides:
             return False
+        ii = self.ii
         occ = self._occ
-        for pool, mask, _ in groups:
+        for step in plan.steps:
+            pool = step.pools[src_cluster if step.from_source else cluster]
+            mask = step.masks[(cycle + step.offset) % ii]
             for taken in occ[pool]:
                 if not taken & mask:
                     break
@@ -324,13 +327,16 @@ class ModuloReservationTable:
         """Reserve the node's resources; raises on conflict."""
         if node.id in self._held:
             raise SchedulingError(f"node {node.id} is already placed")
-        groups = self._groups(node, cluster, cycle, src_cluster)
-        if groups is None:
+        plan = self._plan(node, src_cluster)
+        if plan.collides:
             raise SchedulingError(
                 f"node {node.id} self-collides at II={self.ii}"
             )
+        ii = self.ii
         held: list[tuple[int, int, int]] = []
-        for pool, mask, _ in groups:
+        for step in plan.steps:
+            pool = step.pools[src_cluster if step.from_source else cluster]
+            mask = step.masks[(cycle + step.offset) % ii]
             masks = self._occ[pool]
             for instance, taken in enumerate(masks):
                 if not taken & mask:

@@ -32,6 +32,25 @@ overhead, so plain integer lists are used throughout: here, in
 self-check comparisons.  A refresh that leaves a value's lifetime
 where it was folds nothing.
 
+A refresh that moves only a value's end (same cluster, same start) is a
+**delta fold**: just ``[old_end, new_end)`` is folded, with the sign of
+the change.  Only ``base + rows[r]`` is observable, and it comes out as
+a fresh fold would give it; the split between base and rows is no
+longer canonical (it may differ from a fresh fold's by a per-cluster
+constant, so rows can even go negative), which leaves MaxLive, the
+critical row and ``variant_rows`` unchanged.
+
+**Use segments are lazy.**  A refresh keeps the value's ``uses``
+(``(use cycle, consumer, distance)`` triples) and marks its segments
+stale; they are built, in ``sorted(uses)`` order, by the first query
+that reads the entry.  The spill heuristic's query is
+:meth:`PressureTracker.segments_crossing`: exactly the segments of a
+cluster that cross one MRT row, in placement order.  Each entry keeps
+the II-bit mask of the rows its lifetime covers, so a value whose
+lifetime misses the row is skipped before its segments are built or
+read (on the stress loops about 64 of 200 values cross the critical
+row).
+
 Loop-invariant register counts are cached between the events that can
 change them: a place or eject of a node that reads an invariant, an edit
 of ``Invariant.consumers`` (the graph's ``add_invariant_consumer`` /
@@ -61,6 +80,7 @@ from repro.schedule.lifetimes import (
     UseSegment,
     ValueLifetime,
 )
+from repro.schedule.mrt import arc_mask
 from repro.schedule.partial import PartialSchedule
 
 # Enum members hoisted: ``DepKind.REG`` is a class-attribute lookup.
@@ -90,38 +110,62 @@ def fold_lifetime(
     if full:
         rows[:] = [r + sign * full for r in rows]
     if rest:
+        # Most remainders span a few rows: a plain loop beats slicing.
         first = start % ii
         tail = first + rest
-        if tail <= ii:
-            rows[first:tail] = [r + sign for r in rows[first:tail]]
-        else:
-            rows[first:] = [r + sign for r in rows[first:]]
-            rows[: tail - ii] = [r + sign for r in rows[: tail - ii]]
+        if tail > ii:
+            for row in range(first, ii):
+                rows[row] += sign
+            first, tail = 0, tail - ii
+        for row in range(first, tail):
+            rows[row] += sign
 
 
 class _Entry:
-    """Tracked lifetime of one scheduled value."""
+    """Tracked lifetime of one scheduled value.
 
-    __slots__ = ("cluster", "start", "end", "segments")
+    ``uses`` are the ``(use cycle, consumer, distance)`` triples the last
+    refresh found; ``segments`` are built from them on the first query
+    that reads this entry (``None`` = not built since the uses changed).
+    """
+
+    __slots__ = (
+        "value", "cluster", "start", "end", "ready", "low", "reach", "uses",
+        "segments",
+    )
 
     def __init__(
         self,
+        value: int,
         cluster: int,
         start: int,
         end: int,
-        segments: tuple[UseSegment, ...],
+        ready: int,
+        low: int,
+        reach: int,
+        uses: list[tuple[int, int, int]],
     ):
+        self.value = value
         self.cluster = cluster
         self.start = start
         self.end = end
-        self.segments = segments
+        #: End of the producer-latency prefix (``start + latency``).
+        self.ready = ready
+        #: ``start``, or an earlier use while a dependence is violated:
+        #: every segment lies inside ``[low, end)``.
+        self.low = low
+        #: II-bit mask of the MRT rows ``[low, end)`` covers.
+        self.reach = reach
+        self.uses = uses
+        self.segments: tuple[UseSegment, ...] | None = None
 
 
 class PressureTracker:
     """Register pressure of a partial schedule, maintained incrementally.
 
-    Exposes the same query surface as :class:`LifetimeAnalysis`
-    (``max_live``, ``critical_row``, ``segments_in_cluster``,
+    Like :class:`LifetimeAnalysis` it is a
+    :class:`~repro.schedule.lifetimes.PressureView` (``max_live``,
+    ``critical_row``, ``segments_crossing``, ``lifetime_length``,
     ``lifetimes``, ``pressure``), so the spill heuristic and the register
     allocator accept either interchangeably.
 
@@ -173,6 +217,7 @@ class PressureTracker:
         self._invariant_readers: set[int] = set()
         self._spilled_snapshot: frozenset[tuple[int, int]] = frozenset()
         self._entries: dict[int, _Entry] = {}
+        self._all_rows = (1 << self.ii) - 1
         self._latency_cache: dict[OpKind, int] = {}
         self._lifetimes_cache: list[ValueLifetime] | None = None
         #: Downstream observers of *lifetime* changes (the incremental
@@ -216,13 +261,7 @@ class PressureTracker:
     def on_eject(self, node_id: int) -> None:
         if node_id in self._invariant_readers:
             self._invariant_counts = None
-        entry = self._entries.pop(node_id, None)
-        if entry is not None:
-            self._fold(entry.cluster, entry.start, entry.end, -1)
-            self._lifetimes_cache = None
-            self._notify_lifetime(
-                node_id, (entry.cluster, entry.start, entry.end), None
-            )
+        self._drop(node_id)
         self._refresh_producers(node_id)
         if self.self_check:
             self.assert_matches_scratch()
@@ -242,13 +281,7 @@ class PressureTracker:
     def on_node_removed(self, node_id: int) -> None:
         # Nodes are forgotten from the schedule before removal; this is a
         # defensive cleanup for direct graph edits.
-        entry = self._entries.pop(node_id, None)
-        if entry is not None:
-            self._fold(entry.cluster, entry.start, entry.end, -1)
-            self._lifetimes_cache = None
-            self._notify_lifetime(
-                node_id, (entry.cluster, entry.start, entry.end), None
-            )
+        self._drop(node_id)
 
     def on_invariant_changed(self, invariant_id: int) -> None:
         # An invariant's consumer set changed: recount on the next query.
@@ -281,52 +314,90 @@ class PressureTracker:
                 self._refresh(src)
 
     def _refresh(self, node_id: int) -> None:
-        """Recompute one scheduled value's lifetime and segments.
+        """Recompute one scheduled value's lifetime and uses.
 
         Mirrors one iteration of ``LifetimeAnalysis._compute`` exactly;
-        O(out-degree) plus the O(II / row span) fold.
+        O(out-degree) plus the fold of what the lifetime gained or lost.
+        The use segments are built on the first query that reads them.
         """
-        entry = self._entries.get(node_id)
-        old = (
-            (entry.cluster, entry.start, entry.end)
-            if entry is not None
-            else None
-        )
+        entries = self._entries
+        entry = entries.get(node_id)
         times = self.schedule._time
         start = times.get(node_id)
         if start is None:
-            if entry is not None:
-                self._fold(entry.cluster, entry.start, entry.end, -1)
-                del self._entries[node_id]
-                self._lifetimes_cache = None
-                self._notify_lifetime(node_id, old, None)
+            self._drop(node_id)
             return
         node = self.graph._nodes[node_id]
         if node.kind is _STORE:
             return  # stores define no value (and never hold an entry)
         cluster = self.schedule._cluster[node_id]
-        latency = self._latency(node)
+        ready = start + self._latency(node)
         ii = self.ii
-        end = start + latency
+        end = ready
+        low = start
         uses: list[tuple[int, int, int]] = []
         for edge in self.graph._out[node_id]:
-            if edge.kind is not _REG or edge.dst not in times:
+            if edge.kind is not _REG:
                 continue
-            use_cycle = times[edge.dst] + ii * edge.distance
+            use_time = times.get(edge.dst)
+            if use_time is None:
+                continue
+            use_cycle = use_time + ii * edge.distance
             uses.append((use_cycle, edge.dst, edge.distance))
             if use_cycle > end:
                 end = use_cycle
-        segments = self._build_segments(node, cluster, start, latency, uses)
-        self._entries[node_id] = _Entry(cluster, start, end, segments)
-        new = (cluster, start, end)
-        if new != old:
-            # An unchanged lifetime leaves the rows and lifetimes as
-            # they are.
+            elif use_cycle < low:
+                low = use_cycle
+        if entry is None:
+            reach = self._reach(low, end)
+            entries[node_id] = _Entry(
+                node_id, cluster, start, end, ready, low, reach, uses
+            )
             self._lifetimes_cache = None
-            if entry is not None:
-                self._fold(entry.cluster, entry.start, entry.end, -1)
             self._fold(cluster, start, end, +1)
-            self._notify_lifetime(node_id, old, new)
+            self._notify_lifetime(node_id, None, (cluster, start, end))
+            return
+        old_cluster, old_start, old_end = entry.cluster, entry.start, entry.end
+        if (
+            uses != entry.uses
+            or ready != entry.ready
+            or cluster != old_cluster
+            or start != old_start
+        ):
+            entry.cluster, entry.start, entry.ready = cluster, start, ready
+            entry.uses = uses
+            entry.segments = None
+        if end != old_end or low != entry.low:
+            entry.end, entry.low = end, low
+            entry.reach = self._reach(low, end)
+        if end == old_end and cluster == old_cluster and start == old_start:
+            return  # an unchanged lifetime leaves rows and lifetimes be
+        self._lifetimes_cache = None
+        if cluster == old_cluster and start == old_start:
+            self._fold_end(cluster, old_end, end)
+        else:
+            self._fold(old_cluster, old_start, old_end, -1)
+            self._fold(cluster, start, end, +1)
+        self._notify_lifetime(
+            node_id, (old_cluster, old_start, old_end), (cluster, start, end)
+        )
+
+    def _drop(self, node_id: int) -> None:
+        """Forget a value's entry (its node left the schedule or graph)."""
+        entry = self._entries.pop(node_id, None)
+        if entry is not None:
+            self._fold(entry.cluster, entry.start, entry.end, -1)
+            self._lifetimes_cache = None
+            self._notify_lifetime(
+                node_id, (entry.cluster, entry.start, entry.end), None
+            )
+
+    def _reach(self, low: int, end: int) -> int:
+        """The II-bit mask of the MRT rows ``[low, end)`` covers."""
+        length = end - low
+        if length >= self.ii:
+            return self._all_rows
+        return arc_mask(low, length, self.ii)
 
     def _notify_lifetime(
         self,
@@ -337,41 +408,43 @@ class PressureTracker:
         for listener in self.lifetime_listeners:
             listener.on_lifetime_changed(node_id, old, new)
 
-    def _build_segments(
-        self,
-        node: Node,
-        cluster: int,
-        start: int,
-        latency: int,
-        uses: list[tuple[int, int, int]],
-    ) -> tuple[UseSegment, ...]:
-        if node.is_spill or not uses:
+    def _segments(self, entry: _Entry) -> tuple[UseSegment, ...]:
+        """The entry's use segments, built from its uses when stale."""
+        segments = entry.segments
+        if segments is not None:
+            return segments
+        node_id = entry.value
+        node = self.graph._nodes[node_id]
+        if node.is_spill or not entry.uses:
             # Values produced by spill loads are not spilled again.
+            entry.segments = ()
             return ()
-        non_spillable_end = start + latency
         nodes = self.graph._nodes
-        segments = []
-        previous = start
-        for use_cycle, consumer, distance in sorted(uses):
+        cluster = entry.cluster
+        ready = entry.ready
+        built = []
+        previous = entry.start
+        for use_cycle, consumer, distance in sorted(entry.uses):
             consumer_node = nodes[consumer]
             if not (
                 consumer_node.is_spill
                 and consumer_node.kind.is_memory
-                and consumer_node.spilled_value == node.id
+                and consumer_node.spilled_value == node_id
             ):
-                segments.append(
+                built.append(
                     UseSegment(
-                        value=node.id,
+                        value=node_id,
                         consumer=consumer,
                         edge_distance=distance,
                         start=previous,
                         end=use_cycle,
-                        non_spillable_end=non_spillable_end,
+                        non_spillable_end=ready,
                         cluster=cluster,
                     )
                 )
             previous = use_cycle
-        return tuple(segments)
+        entry.segments = segments = tuple(built)
+        return segments
 
     def _fold(self, cluster: int, start: int, end: int, sign: int) -> None:
         """Add/remove one lifetime [start, end): full II periods go to the
@@ -379,12 +452,21 @@ class PressureTracker:
         length = end - start
         if length <= 0:
             return
-        ii = self.ii
-        full, rest = divmod(length, ii)
+        full, rest = divmod(length, self.ii)
         if full:
             self._base[cluster] += sign * full
         if rest:
-            fold_lifetime(self._rows[cluster], ii, start, start + rest, sign)
+            fold_lifetime(self._rows[cluster], self.ii, start, start + rest, sign)
+
+    def _fold_end(self, cluster: int, old_end: int, end: int) -> None:
+        """Move a lifetime's end: fold only ``[old_end, end)`` (or remove
+        ``[end, old_end)``).  ``base + rows[r]`` comes out as a fresh fold
+        of the whole lifetime gives it; the split between the two may
+        differ from it by a per-cluster constant."""
+        if end > old_end:
+            self._fold(cluster, old_end, end, +1)
+        else:
+            self._fold(cluster, end, old_end, -1)
 
     # ------------------------------------------------------------------
     # Queries (the LifetimeAnalysis-compatible surface)
@@ -479,16 +561,32 @@ class PressureTracker:
 
     @property
     def segments(self) -> list[UseSegment]:
-        return [s for e in self._entries.values() for s in e.segments]
+        return [s for e in self._entries.values() for s in self._segments(e)]
 
-    def segments_in_cluster(self, cluster: int) -> list[UseSegment]:
-        # A value's segments all lie in its entry's cluster.
-        return [
-            s
-            for e in self._entries.values()
-            if e.cluster == cluster
-            for s in e.segments
-        ]
+    def segments_crossing(self, cluster: int, row: int) -> list[UseSegment]:
+        """The use segments of ``cluster`` that cross MRT ``row``, in
+        placement order (each value's in use order).
+
+        Every segment lies inside its value's lifetime, so a value whose
+        ``reach`` misses the row is skipped before its segments are built
+        or read.
+        """
+        ii = self.ii
+        bit = 1 << row
+        crossing = []
+        for entry in [e for e in self._entries.values() if e.reach & bit]:
+            if entry.cluster != cluster:
+                continue
+            segments = entry.segments
+            if segments is None:
+                segments = self._segments(entry)
+            for segment in segments:
+                start = segment.start
+                span = segment.end - start
+                # UseSegment.crosses_row, inline.
+                if span > 0 and (span >= ii or (row - start) % ii < span):
+                    crossing.append(segment)
+        return crossing
 
     def lifetime_bounds(self, node_id: int) -> tuple[int, int]:
         """[start, end) of a tracked value (must be scheduled)."""
@@ -507,9 +605,10 @@ class PressureTracker:
     def assert_matches_scratch(self) -> None:
         """Assert bit-identity with a from-scratch ``LifetimeAnalysis``.
 
-        Compares rows, invariant counts, MaxLive, critical rows, the full
-        lifetime list and the full segment list (both in placement
-        order).  Raises ``AssertionError`` with context on any mismatch.
+        Compares rows, invariant counts, MaxLive, critical rows, the
+        segments crossing each critical row, the full lifetime list and
+        the full segment list (both in placement order).  Raises
+        ``AssertionError`` with context on any mismatch.
         """
         scratch = LifetimeAnalysis(
             self.graph,
@@ -544,6 +643,14 @@ class PressureTracker:
                     f"critical row diverged in cluster {cluster}: "
                     f"tracker={self.critical_row(cluster)} "
                     f"scratch={expected.critical_row}"
+                )
+            row = expected.critical_row
+            if self.segments_crossing(cluster, row) != scratch.segments_crossing(
+                cluster, row
+            ):
+                raise AssertionError(
+                    f"segments crossing row {row} diverged in cluster "
+                    f"{cluster}"
                 )
         if self.lifetimes != scratch.lifetimes:
             mine = {lt.value: lt for lt in self.lifetimes}

@@ -21,7 +21,7 @@ import dataclasses
 from repro.graph.ddg import DependenceGraph
 from repro.machine.config import MachineConfig
 from repro.schedule.colouring import arc_mask
-from repro.schedule.lifetimes import LifetimeAnalysis
+from repro.schedule.lifetimes import LifetimeAnalysis, PressureView
 from repro.schedule.partial import PartialSchedule
 
 
@@ -108,7 +108,7 @@ def allocate_registers(
     graph: DependenceGraph,
     schedule: PartialSchedule,
     machine: MachineConfig,
-    analysis=None,
+    analysis: PressureView | None = None,
     spilled_invariants: set[tuple[int, int]] | None = None,
     colouring=None,
 ) -> dict[int, RegisterAllocation]:
@@ -120,7 +120,7 @@ def allocate_registers(
 
     ``analysis`` may be a batch :class:`LifetimeAnalysis` or the
     scheduler's live :class:`~repro.schedule.pressure.PressureTracker`
-    (both expose ``lifetimes`` and per-cluster ``pressure``); when
+    (both are a :class:`~repro.schedule.lifetimes.PressureView`); when
     omitted, a fresh batch analysis is built.  When both ``analysis``
     and ``spilled_invariants`` are given they must agree: the analysis
     already carries its spill set, and a conflicting argument used to be

@@ -75,20 +75,24 @@ def dependence_window(
 ) -> SlotWindow:
     """Compute the slot window of ``node`` against the partial schedule."""
     ii = schedule.ii
+    times = schedule._time
+    node_id = node.id
     early: int | None = None
     late: int | None = None
-    for edge in graph.in_edges(node.id):
-        if not schedule.is_scheduled(edge.src) or edge.src == node.id:
+    for edge in graph._in[node_id]:
+        src_time = times.get(edge.src)
+        if src_time is None or edge.src == node_id:
             continue
-        latency = edge_latency(graph, edge, machine)
-        bound = schedule.time(edge.src) + latency - ii * edge.distance
-        early = bound if early is None else max(early, bound)
-    for edge in graph.out_edges(node.id):
-        if not schedule.is_scheduled(edge.dst) or edge.dst == node.id:
+        bound = src_time + edge_latency(graph, edge, machine) - ii * edge.distance
+        if early is None or bound > early:
+            early = bound
+    for edge in graph._out[node_id]:
+        dst_time = times.get(edge.dst)
+        if dst_time is None or edge.dst == node_id:
             continue
-        latency = edge_latency(graph, edge, machine)
-        bound = schedule.time(edge.dst) - latency + ii * edge.distance
-        late = bound if late is None else min(late, bound)
+        bound = dst_time - edge_latency(graph, edge, machine) + ii * edge.distance
+        if late is None or bound < late:
+            late = bound
 
     if distance_gauge is not None and node.is_spill:
         if node.kind is OpKind.LOAD and late is not None:
@@ -178,18 +182,21 @@ def violates_dependences(
     Used after a forced placement to decide which nodes must be ejected.
     """
     ii = schedule.ii
+    times = schedule._time
     t_node = schedule.time(node_id)
     offenders: list[int] = []
-    for edge in graph.in_edges(node_id):
-        if edge.src == node_id or not schedule.is_scheduled(edge.src):
+    for edge in graph._in[node_id]:
+        src_time = times.get(edge.src)
+        if edge.src == node_id or src_time is None:
             continue
         latency = edge_latency(graph, edge, machine)
-        if t_node < schedule.time(edge.src) + latency - ii * edge.distance:
+        if t_node < src_time + latency - ii * edge.distance:
             offenders.append(edge.src)
-    for edge in graph.out_edges(node_id):
-        if edge.dst == node_id or not schedule.is_scheduled(edge.dst):
+    for edge in graph._out[node_id]:
+        dst_time = times.get(edge.dst)
+        if edge.dst == node_id or dst_time is None:
             continue
         latency = edge_latency(graph, edge, machine)
-        if schedule.time(edge.dst) < t_node + latency - ii * edge.distance:
+        if dst_time < t_node + latency - ii * edge.distance:
             offenders.append(edge.dst)
     return offenders

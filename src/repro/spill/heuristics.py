@@ -29,8 +29,7 @@ from repro.cluster.balance import balance_register_pressure
 from repro.cluster.moves import add_invariant_move
 from repro.graph.ddg import DepKind, Invariant, MemRef, Node
 from repro.machine.resources import OpKind, ResourceClass
-from repro.schedule.lifetimes import UseSegment
-from repro.schedule.pressure import PressureTracker
+from repro.schedule.lifetimes import PressureView, UseSegment
 from repro.schedule.regalloc import allocate_registers
 
 #: Array-id namespace for compiler-generated spill slots (disjoint from
@@ -129,7 +128,7 @@ def _segment_traffic(state: SchedulerState, segment: UseSegment) -> int:
 
 
 def _spill_once(
-    state: SchedulerState, cluster: int, pressure: PressureTracker
+    state: SchedulerState, cluster: int, pressure: PressureView
 ) -> bool:
     """Spill the best candidate crossing the critical cycle, if any."""
     critical = pressure.critical_row(cluster)
@@ -137,14 +136,17 @@ def _spill_once(
     min_span = state.params.min_span_gauge
     best_segment: UseSegment | None = None
     best_ratio = 0.0
-    for segment in pressure.segments_in_cluster(cluster):
+    for segment in pressure.segments_crossing(cluster, critical):
         # Field arithmetic inline (rather than the span/spillable
-        # properties): this loop visits every segment of the cluster on
-        # every spill decision.
+        # properties): this loop runs on every spill decision.
         span = segment.end - segment.start
-        if span < min_span or segment.start < segment.non_spillable_end:
-            continue
-        if not segment.crosses_row(critical, ii):
+        # A ratio never exceeds the span (traffic >= 1), so a span below
+        # the best ratio can neither beat nor tie it.
+        if (
+            span < min_span
+            or span < best_ratio
+            or segment.start < segment.non_spillable_end
+        ):
             continue
         if segment.value not in state.graph:
             continue
@@ -447,7 +449,7 @@ def _invariant_source_cluster(
 # ----------------------------------------------------------------------
 
 def _eject_from_critical_row(
-    state: SchedulerState, cluster: int, pressure: PressureTracker
+    state: SchedulerState, cluster: int, pressure: PressureView
 ) -> bool:
     """Eject one node issuing in the critical cycle (Section 3.2.3).
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import random
 import signal
 
@@ -118,6 +119,28 @@ def random_graph(seed: int, size: int = 10) -> DependenceGraph:
             graph.new_invariant(consumers=consumers)
     graph.validate()
     return graph
+
+
+def edge_by_edge_clone(graph: DependenceGraph) -> DependenceGraph:
+    """The reference deep copy: every node copied through its dataclass
+    constructor and every edge re-added in out-list order (the oracle of
+    ``DependenceGraph.clone``)."""
+    copy = DependenceGraph(name=graph.name, trip_count=graph.trip_count)
+    copy.unroll_factor = graph.unroll_factor
+    copy.source_trip_count = graph.source_trip_count
+    for node in graph._nodes.values():
+        copy.add_node(dataclasses.replace(node))
+    for edge in graph.edges():
+        copy.add_edge(
+            edge.src,
+            edge.dst,
+            kind=edge.kind,
+            distance=edge.distance,
+            latency=edge.latency,
+        )
+    for inv in graph._invariants.values():
+        copy._invariants[inv.id] = inv.clone()
+    return copy
 
 
 graph_seeds = st.integers(min_value=0, max_value=10_000)

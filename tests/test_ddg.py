@@ -1,8 +1,12 @@
 """Unit tests for the dependence graph."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
 
 from repro import DependenceGraph, DepKind, GraphError, MemRef, OpKind
+from tests.helpers import edge_by_edge_clone, graph_seeds, random_graph
 
 
 @pytest.fixture
@@ -137,6 +141,95 @@ class TestClone:
         copy = graph.clone()
         fresh = copy.new_node(OpKind.MUL)
         assert fresh.id not in [n.id for n in graph.nodes()]
+
+
+def _messy_graph(seed: int) -> DependenceGraph:
+    """A random loop plus what scheduling leaves behind: parallel and
+    late-added edges (so in-lists are not in out-list order), a move with
+    a source cluster, a removed node, overrides and invariants."""
+    rng = random.Random(seed)
+    graph = random_graph(seed, size=6 + seed % 9)
+    ids = graph.node_ids()
+    producers = [n for n in ids if graph.node(n).produces_value]
+    for _ in range(rng.randint(2, 10)):
+        dst = rng.choice(ids)
+        if producers and rng.random() < 0.6:
+            src = rng.choice(producers)
+            for _ in range(rng.randint(1, 2)):  # maybe a parallel edge
+                graph.add_edge(src, dst, distance=rng.randint(0, 2))
+        else:
+            graph.add_edge(
+                rng.choice(ids), dst, kind=rng.choice([DepKind.MEM, DepKind.CTRL]),
+                distance=rng.randint(0, 2), latency=rng.choice([None, 3]),
+            )
+    if producers:
+        move = graph.new_node(
+            OpKind.MOVE, move_of=producers[0], src_cluster=rng.randint(0, 3)
+        )
+        graph.add_edge(producers[0], move.id)
+        graph.add_edge(move.id, rng.choice(ids))
+    graph.node(rng.choice(ids)).latency_override = rng.randint(1, 9)
+    graph.new_invariant(
+        consumers=set(rng.sample(ids, min(3, len(ids)))),
+        mem_ref=MemRef(array=77),
+    )
+    if rng.random() < 0.5:
+        graph.remove_node(rng.choice(graph.node_ids()))
+    return graph
+
+
+def _snapshot(graph: DependenceGraph) -> tuple:
+    """Everything a clone must reproduce, as plain comparable data: the
+    node fields and the out-, in- and invariant tables in their exact
+    orders, and the next node id."""
+    return (
+        (graph.name, graph.trip_count, graph.unroll_factor, graph.source_trip_count),
+        [(i, type(n), dict(vars(n))) for i, n in graph._nodes.items()],
+        [(i, list(edges)) for i, edges in graph._out.items()],
+        [(i, list(edges)) for i, edges in graph._in.items()],
+        [
+            (i, inv.name, set(inv.consumers), inv.mem_ref)
+            for i, inv in graph._invariants.items()
+        ],
+        repr(graph._next_id),
+    )
+
+
+class TestCloneFidelity:
+    """``clone`` against the edge-by-edge oracle in ``tests/helpers.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=graph_seeds)
+    def test_clone_matches_edge_by_edge_copy(self, seed):
+        graph = _messy_graph(seed)
+        copy = graph.clone()
+        assert _snapshot(copy) == _snapshot(edge_by_edge_clone(graph))
+        assert copy._listeners == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=graph_seeds)
+    def test_mutating_the_clone_leaves_the_original(self, seed):
+        rng = random.Random(seed)
+        graph = _messy_graph(seed)
+        before = _snapshot(graph)
+        copy = graph.clone()
+        for node_id, node in graph._nodes.items():
+            assert copy._nodes[node_id] is not node
+        ids = copy.node_ids()
+        producers = [n for n in ids if copy.node(n).produces_value]
+        copy.add_edge(rng.choice(producers), rng.choice(ids), distance=1)
+        edge = next(e for edges in copy._out.values() for e in edges)
+        copy.remove_edge(edge)
+        fresh = copy.new_node(OpKind.ADD)
+        inv = copy.invariants()[0]
+        copy.add_invariant_consumer(inv.id, fresh.id)
+        copy.discard_invariant_consumer(inv.id, min(inv.consumers))
+        for node in copy.nodes():
+            if node.is_move:
+                node.src_cluster = 9  # the attempt loop re-targets moves in place
+            node.latency_override = 42
+        copy.remove_node(rng.choice(ids))
+        assert _snapshot(graph) == before
 
 
 class TestValidationAndStats:

@@ -163,6 +163,17 @@ class TestSegments:
         assert segment.crosses_row(1, ii)
         assert not segment.crosses_row(3, ii)
 
+    def test_empty_segment_crosses_no_row(self):
+        """A consumer issuing at the previous use's cycle leaves an empty
+        section: it holds no register in any row."""
+        ii = 8
+        for start in (0, 5, 8, 13):
+            segment = UseSegment(
+                value=0, consumer=1, edge_distance=0,
+                start=start, end=start, non_spillable_end=0, cluster=0,
+            )
+            assert not any(segment.crosses_row(row, ii) for row in range(ii))
+
     def test_long_segment_crosses_everything(self):
         segment = UseSegment(
             value=0, consumer=1, edge_distance=0,

@@ -40,6 +40,23 @@ from tests.helpers import place_random as _place_random
 MACHINES = [UNIFIED_SMALL, TWO_CLUSTER, FOUR_CLUSTER_TIGHT]
 
 
+def _assert_crossings_match_scratch(state) -> None:
+    """``segments_crossing`` == the scratch filter, for every row."""
+    scratch = LifetimeAnalysis(
+        state.graph,
+        state.schedule,
+        state.machine,
+        spilled_invariants=state.spilled_invariants,
+    )
+    ii = state.ii
+    for cluster in range(state.machine.clusters):
+        in_cluster = scratch.segments_in_cluster(cluster)
+        for row in range(ii):
+            assert state.pressure.segments_crossing(cluster, row) == [
+                s for s in in_cluster if s.crosses_row(row, ii)
+            ]
+
+
 class TestRandomizedEventSequences:
     """Property: tracker == scratch analysis after every event mix."""
 
@@ -63,6 +80,7 @@ class TestRandomizedEventSequences:
             except SchedulingError:
                 break  # livelock guards may fire on adversarial orders
             state.pressure.assert_matches_scratch()
+            _assert_crossings_match_scratch(state)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=500))
@@ -116,6 +134,35 @@ class TestSchedulerEquivalence:
                 cluster
             )
         assert tracker.segments == scratch.segments
+        tracker.detach()
+
+    def test_crossing_segment_starting_before_its_producer(self):
+        """A use issued before its producer (a violated dependence, as a
+        forced placement leaves it until the offender is ejected) starts
+        the next segment before the lifetime: the row filter must still
+        find that segment."""
+        from repro.graph.builder import LoopBuilder
+        from repro.schedule.partial import PartialSchedule
+
+        b = LoopBuilder("early-use")
+        x = b.load(array=0)
+        early = b.add(x)
+        late = b.add(x)
+        graph = b.build()
+        schedule = PartialSchedule(UNIFIED, ii=16)
+        tracker = PressureTracker(graph, schedule, UNIFIED)
+        schedule.place(graph.node(early.id), 0, 0)
+        schedule.place(graph.node(x.id), 0, 4)
+        schedule.place(graph.node(late.id), 0, 10)
+        scratch = LifetimeAnalysis(graph, schedule, UNIFIED)
+        for row in range(16):
+            assert tracker.segments_crossing(0, row) == scratch.segments_crossing(
+                0, row
+            )
+        assert [(s.start, s.end) for s in tracker.segments_crossing(0, 2)] == [
+            (0, 10)
+        ]
+        tracker.assert_matches_scratch()
         tracker.detach()
 
 
@@ -242,3 +289,37 @@ def test_invariant_count_cache_tracks_each_invalidating_event():
     assert counts() == [0, 0]
     assert inv.consumers == {w.id}
     tracker.detach()
+
+
+class TestDeltaFold:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ii=st.integers(min_value=1, max_value=12),
+        start=st.integers(min_value=-30, max_value=60),
+        data=st.data(),
+    )
+    def test_end_delta_equals_fresh_fold(self, ii, start, data):
+        """Folding [s, e) then moving the end to e' leaves the same
+        variant rows as folding [s, e') directly, for lengths below, at
+        and above II and starts that wrap around the rows."""
+        from repro.schedule.partial import PartialSchedule
+
+        lengths = st.one_of(
+            st.integers(min_value=0, max_value=3 * ii + 2),
+            st.sampled_from([ii - 1, ii, ii + 1, 2 * ii]),
+        )
+        first = max(0, data.draw(lengths))
+        second = max(0, data.draw(lengths))
+
+        def tracker():
+            return PressureTracker(
+                random_graph(0, size=3), PartialSchedule(UNIFIED, ii), UNIFIED
+            )
+
+        moved, fresh = tracker(), tracker()
+        moved._fold(0, start, start + first, +1)
+        moved._fold_end(0, start + first, start + second)
+        fresh._fold(0, start, start + second, +1)
+        assert moved.variant_rows(0) == fresh.variant_rows(0)
+        assert moved.critical_row(0) == fresh.critical_row(0)
+        assert moved.max_live(0) == fresh.max_live(0)

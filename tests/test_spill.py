@@ -5,6 +5,7 @@ from repro.core.params import MirsParams
 from repro.core.state import SchedulerState
 from repro.schedule.lifetimes import LifetimeAnalysis
 from repro.spill.heuristics import (
+    _eject_from_critical_row,
     _get_or_create_store,
     _insert_load,
     _spill_once,
@@ -99,6 +100,27 @@ class TestSpillSelection:
         assert _spill_once(state, 0, analysis)
         # The spilled use is x's late consumer: x -> late replaced.
         assert late.id not in graph.succs(x.id) or state.stats.spill_loads_added
+
+    def test_eject_from_critical_row_takes_the_batch_analysis(self):
+        """The batch analysis ranks the critical row's nodes by lifetime
+        length exactly as the live tracker does."""
+        graph, x, late = _long_lifetime_graph()
+        machine = parse_config("1-(GP8M4-REG4)")
+        state = _state(graph, machine, ii=4)
+        _place_chain(state, graph)
+        analysis = LifetimeAnalysis(graph, state.schedule, machine)
+        candidates = state.schedule.nodes_in_row(analysis.critical_row(0), 0)
+        assert [analysis.lifetime_length(n) for n in candidates] == [
+            state.pressure.lifetime_length(n) for n in candidates
+        ]
+        victim = max(
+            candidates,
+            key=lambda n: (
+                analysis.lifetime_length(n), -state.schedule.placement_seq(n)
+            ),
+        )
+        assert _eject_from_critical_row(state, 0, analysis)
+        assert not state.schedule.is_scheduled(victim)
 
     def test_nothing_to_spill_returns_false(self):
         b = LoopBuilder("tiny")
