@@ -44,11 +44,9 @@ class NonIterativeScheduler:
         self,
         machine: MachineConfig,
         params: MirsParams | None = None,
-        verify: bool = True,
     ):
         self.machine = machine
         self.params = params or MirsParams()
-        self.verify = verify
 
     # ------------------------------------------------------------------
 
@@ -141,17 +139,9 @@ class NonIterativeScheduler:
             for live in state.pressure.max_live_all().values()
         ):
             return False
-        if state.colouring is not None:
-            return all(
-                used <= available
-                for used in state.colouring.registers_used_all().values()
-            )
-        allocations = allocate_registers(
-            state.graph, state.schedule, state.machine, state.pressure
-        )
         return all(
-            alloc.registers_used <= available
-            for alloc in allocations.values()
+            used <= available
+            for used in state.colouring.registers_used_all().values()
         )
 
     # ------------------------------------------------------------------
@@ -198,13 +188,12 @@ class NonIterativeScheduler:
             graph=graph,
             trip_count=graph.trip_count,
         )
-        if self.verify:
-            violations = verify_schedule(
-                graph, state.machine, state.ii, times, clusters, register_usage
+        violations = verify_schedule(
+            graph, state.machine, state.ii, times, clusters, register_usage
+        )
+        if violations:
+            raise SchedulingError(
+                f"[31] produced an invalid schedule for {graph.name}: "
+                + "; ".join(violations[:5])
             )
-            if violations:
-                raise SchedulingError(
-                    f"[31] produced an invalid schedule for {graph.name}: "
-                    + "; ".join(violations[:5])
-                )
         return result

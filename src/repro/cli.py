@@ -417,17 +417,12 @@ def _cmd_technology(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontend_show(args: argparse.Namespace) -> int:
-    from repro.frontend import available_parsers
     from repro.frontend.corpus import CORPUS_KERNELS, load_kernel
     from repro.graph.mii import compute_mii, resource_mii
     from repro.graph.recurrences import recurrence_mii
 
     machine = parse_config(args.config)
     if args.source is None:
-        parsers = ", ".join(
-            f"{name} ({'available' if ok else 'unavailable'})"
-            for name, ok in sorted(available_parsers().items())
-        )
         rows = []
         for name in CORPUS_KERNELS:
             lowered = load_kernel(name)
@@ -451,7 +446,7 @@ def _cmd_frontend_show(args: argparse.Namespace) -> int:
                 ["kernel", "ops", "arrays", "scalars", "invs", "mem deps",
                  "ResMII", "RecMII", "MII"],
                 rows,
-                f"parsers: {parsers}",
+                "parser: python (.py sources)",
             )
         )
         return 0
@@ -738,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help="source file or corpus kernel name (omit to list the corpus "
-        "and the registered parsers)",
+        "and the parser)",
     )
     frontend_show.add_argument(
         "--kernel",

@@ -25,6 +25,12 @@ picklable value:
   in-flight candidate once a lower II completes feasibly.  K=1 over
   the in-process runner is the paper's serial ladder.
 
+Attempts are never memoized: like the paper's ``Re_Initialize(II++)``,
+every search runs its attempts from scratch.  The one schedule cache is
+the suite-level :class:`~repro.exec.cache.ResultCache`, keyed by the
+whole scheduling problem, so ``cache=False`` and ``--no-cache`` leave
+nothing to read or write anywhere.
+
 Determinism
 -----------
 
@@ -68,7 +74,6 @@ from repro.machine.config import MachineConfig
 from repro.obs.metrics import SearchStats
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
 from repro.schedule.partial import PartialSchedule
-from repro.schedule.regalloc import allocate_registers
 from repro.spill.heuristics import check_and_insert_spill
 
 
@@ -85,21 +90,16 @@ class AttemptTask:
         graph: the pristine loop (the attempt clones it; the task stays
             reusable).
         machine: target configuration.
-        params: algorithm parameters (the II-search policy they carry is
-            irrelevant to a fixed-II attempt and excluded from the
-            attempt cache key).
+        params: algorithm parameters (of the II-search policy they
+            carry, a fixed-II attempt reads only whether it bounds
+            eject-only churn).
         ii: the II to attempt.
         priorities: HRMS priorities (node id -> priority), computed once
             per search and shared by every task of that search.
-        graph_hash: stable content hash of ``graph``
-            (:func:`repro.exec.hashing.stable_hash` over
-            :func:`~repro.exec.hashing.canonical_graph`), computed once
-            per search so per-attempt cache keys do not re-canonicalize
-            the graph K times.
         trace: record a per-attempt event trace in the worker and ship
             it back on the :class:`AttemptResult` (see
-            :mod:`repro.obs`).  Excluded from the attempt cache key —
-            tracing never changes what an attempt computes.
+            :mod:`repro.obs`); tracing never changes what an attempt
+            computes.
     """
 
     graph: DependenceGraph
@@ -107,15 +107,7 @@ class AttemptTask:
     params: MirsParams
     ii: int
     priorities: dict[int, float]
-    graph_hash: str
     trace: bool = False
-
-    def cache_key(self) -> str:
-        """Content-addressed key of this attempt (see
-        :func:`repro.exec.hashing.attempt_cache_key`)."""
-        from repro.exec.hashing import attempt_cache_key
-
-        return attempt_cache_key(self)
 
     def with_ii(self, ii: int) -> AttemptTask:
         return dataclasses.replace(self, ii=ii)
@@ -161,8 +153,7 @@ class AttemptResult:
     false.  ``trace`` is the worker-side event trace
     (:meth:`repro.obs.RecordingTracer.export` payload) when the task
     asked for one — shipped back over the runner's private pipe and
-    merged into the parent trace; stripped before attempt-cache writes
-    (a cached result's timeline belongs to the run that computed it).
+    merged into the parent trace.
     """
 
     ii: int
@@ -521,23 +512,11 @@ class AttemptEngine:
             for live in state.pressure.max_live_all().values()
         ):
             return False
-        if state.colouring is not None:
-            # Incremental path: per-cluster counts from the engine's
-            # caches (only clusters whose lifetimes changed recolour).
-            return all(
-                used <= available
-                for used in state.colouring.registers_used_all().values()
-            )
-        allocations = allocate_registers(
-            state.graph,
-            state.schedule,
-            state.machine,
-            state.pressure,
-            spilled_invariants=state.spilled_invariants,
-        )
+        # Per-cluster counts from the colouring engine's caches (only
+        # clusters whose lifetimes changed recolour).
         return all(
-            alloc.registers_used <= available
-            for alloc in allocations.values()
+            used <= available
+            for used in state.colouring.registers_used_all().values()
         )
 
 
@@ -726,10 +705,6 @@ class SpeculativeSearchDriver:
         speculation: frontier width K (1 is the serial ladder: one
             attempt at a time over the in-process runner).
         runner: attempt executor; defaults to :func:`default_runner`.
-        cache: per-attempt result cache — a
-            :class:`~repro.exec.cache.ResultCache`, ``True``/``False``,
-            or ``None`` to follow the environment (the same contract as
-            :func:`repro.exec.cache.resolve_cache`).
         tracer: observability sink (see :mod:`repro.obs`); with a
             recording tracer the driver emits the race ledger
             (``race.launch`` / ``race.verify`` / ``race.cancel`` /
@@ -745,18 +720,14 @@ class SpeculativeSearchDriver:
         params: MirsParams,
         speculation: int,
         runner: AttemptRunner | None = None,
-        cache=None,
         tracer: Tracer = NULL_TRACER,
     ):
-        from repro.exec.cache import resolve_cache
-
         self.machine = machine
         self.params = params
         self.speculation = max(1, speculation)
         self.runner = runner if runner is not None else default_runner(
             self.speculation
         )
-        self.cache = resolve_cache(cache)
         self.tracer = tracer
 
     # ------------------------------------------------------------------
@@ -769,8 +740,6 @@ class SpeculativeSearchDriver:
         limit: int,
     ) -> SearchResult:
         """Run one full II search for ``graph``; see the module docstring."""
-        from repro.exec.hashing import canonical_graph, stable_hash
-
         tracer = self.tracer
         trace_on = tracer.enabled
         template = AttemptTask(
@@ -779,14 +748,12 @@ class SpeculativeSearchDriver:
             params=self.params,
             ii=mii,
             priorities=priorities,
-            graph_hash=stable_hash(canonical_graph(graph)),
             trace=trace_on,
         )
         policy = self.params.make_search_policy()
         completed: dict[int, AttemptResult] = {}
         launched = 0
         cancelled = 0
-        cache_hits = 0
         path: list[AttemptResult] = []
         #: Open parent-side span tokens of in-flight attempts; popped
         #: on completion (the worker's own span is merged instead) or
@@ -831,34 +798,18 @@ class SpeculativeSearchDriver:
                     cancelled += self.runner.cancel(losers)
                     note_cancelled(losers)
 
-                hit_needed = False
                 for ii in self._frontier(
                     policy, attempted, needed, completed, mii, limit
                 ):
                     if ii in completed or ii in self.runner.pending():
                         continue
-                    task = template.with_ii(ii)
-                    if self.cache is not None:
-                        hit = self.cache.get(task.cache_key())
-                        if isinstance(hit, AttemptResult):
-                            completed[ii] = hit
-                            cache_hits += 1
-                            if trace_on:
-                                tracer.instant(
-                                    "race.cache_hit", "race", ii=ii
-                                )
-                            if ii == needed:
-                                hit_needed = True
-                            continue
-                    self.runner.submit(task)
+                    self.runner.submit(template.with_ii(ii))
                     launched += 1
                     if trace_on:
                         tokens[ii] = tracer.begin("attempt", "race", ii=ii)
                         tracer.instant(
                             "race.launch", "race", ii=ii, needed=needed
                         )
-                if hit_needed:
-                    continue  # the cache satisfied the anchor: re-replay
 
                 for result in self.runner.wait(needed):
                     completed[result.ii] = result
@@ -871,11 +822,6 @@ class SpeculativeSearchDriver:
                             scheduled=result.outcome.scheduled,
                         )
                         tracer.merge(result.trace)
-                    if self.cache is not None:
-                        self.cache.put(
-                            template.with_ii(result.ii).cache_key(),
-                            dataclasses.replace(result, trace=None),
-                        )
         finally:
             leftover = self.runner.pending()
             cancelled += self.runner.cancel(leftover)
@@ -902,7 +848,6 @@ class SpeculativeSearchDriver:
             executed_attempts=len(completed),
             launched=launched,
             cancelled=cancelled,
-            cache_hits=cache_hits,
         )
         if trace_on:
             if best is not None:

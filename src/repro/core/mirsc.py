@@ -69,7 +69,6 @@ class MirsC:
         params: algorithm parameters (paper defaults when omitted),
             including the II-search policy (``params.ii_search``) and
             the speculative search width K (``params.speculation``).
-        verify: re-validate every produced schedule (cheap; on by default).
         strict: with the paper's parameters MIRS-C always converges, so
             hitting the II cap raises :class:`ConvergenceError`; pass
             ``strict=False`` (as the parameter-ablation benchmarks do) to
@@ -84,13 +83,11 @@ class MirsC:
         self,
         machine: MachineConfig,
         params: MirsParams | None = None,
-        verify: bool = True,
         strict: bool = True,
         tracer=None,
     ):
         self.machine = machine
         self.params = params or MirsParams()
-        self.verify = verify
         self.strict = strict
         self.tracer = resolve_tracer(tracer)
 
@@ -287,20 +284,15 @@ class MirsC:
             graph=graph,
             trip_count=graph.trip_count,
         )
-        if self.verify:
-            violations = verify_schedule(
-                graph,
-                self.machine,
-                feasible.ii,
-                times,
-                clusters,
-                register_usage,
+        # Every produced schedule is re-validated (cheap).
+        violations = verify_schedule(
+            graph, self.machine, feasible.ii, times, clusters, register_usage
+        )
+        if violations:
+            raise SchedulingError(
+                f"MIRS-C produced an invalid schedule for {graph.name}: "
+                + "; ".join(violations[:5])
             )
-            if violations:
-                raise SchedulingError(
-                    f"MIRS-C produced an invalid schedule for {graph.name}: "
-                    + "; ".join(violations[:5])
-                )
         if finalize_span is not None:
             tracer.end(
                 finalize_span,
@@ -323,7 +315,6 @@ class Mirs(MirsC):
         self,
         machine: MachineConfig,
         params: MirsParams | None = None,
-        verify: bool = True,
         strict: bool = True,
         tracer=None,
     ):
@@ -332,7 +323,4 @@ class Mirs(MirsC):
                 "Mirs targets unified (single-cluster) machines; "
                 "use MirsC for clustered configurations"
             )
-        super().__init__(
-            machine, params=params, verify=verify, strict=strict,
-            tracer=tracer,
-        )
+        super().__init__(machine, params=params, strict=strict, tracer=tracer)

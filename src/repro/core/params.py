@@ -23,7 +23,10 @@ Settings that only ever took one value are constants where they are
 read (the forcing eviction cap in :mod:`repro.core.scheduling`, the
 balancing candidate count in :mod:`repro.cluster.balance`, the exact
 backend's cluster gate in :mod:`repro.smt.scheduler`, and
-:func:`final_round_cap`).
+:func:`final_round_cap`).  The register allocator is not a setting
+either: every attempt on a register-limited machine answers its
+allocation queries from the incremental colouring engine (see
+:mod:`repro.core.state`), and every produced schedule is verified.
 """
 
 from __future__ import annotations
@@ -144,18 +147,10 @@ class MirsParams:
     #: fingerprint-identical for every K by construction — K only
     #: changes wall-clock time and the ``search_trace`` diagnostics.
     speculation: int | None = None
-    #: Serve the drained-regime register allocation from the
-    #: incremental :class:`~repro.schedule.colouring.IncrementalArcColouring`
-    #: engine (register-count-identical to the batch ``_colour_arcs``
-    #: path by construction - schedules are fingerprint-identical either
-    #: way).  Off runs the historical per-call batch allocation; kept as
-    #: the oracle for the differential tests and benchmarks.
-    incremental_colouring: bool = True
     #: Exact-backend parameters (``scheduler="smt"``); ``None`` means
-    #: :class:`SmtParams` defaults.  Ignored by the heuristic schedulers
-    #: and stripped from per-attempt cache keys, but part of
-    #: :meth:`canonical` so exec cache keys distinguish oracle
-    #: configurations.
+    #: :class:`SmtParams` defaults.  Ignored by the heuristic schedulers,
+    #: but part of :meth:`canonical` so exec cache keys distinguish
+    #: oracle configurations.
     smt: SmtParams | None = None
 
     def __post_init__(self) -> None:

@@ -36,7 +36,7 @@ class ScheduleRequest:
     #: instead).
     trace: object = None
 
-    def make_scheduler(self, machine, *, verify: bool = True, strict: bool = True):
+    def make_scheduler(self, machine, *, strict: bool = True):
         """Instantiate the requested scheduler for one machine."""
         # Imported lazily: worker processes import this module before
         # they know which scheduler they will run, and the baseline
@@ -47,8 +47,7 @@ class ScheduleRequest:
         params = self.params
         if self.scheduler == "mirsc":
             return MirsC(
-                machine, params=params, verify=verify, strict=strict,
-                tracer=self.trace,
+                machine, params=params, strict=strict, tracer=self.trace
             )
         if self.scheduler == "baseline":
             # The baseline has no attempt machinery worth tracing.
@@ -57,7 +56,6 @@ class ScheduleRequest:
             from repro.smt.scheduler import SmtScheduler
 
             return SmtScheduler(
-                machine, params=params, verify=verify, strict=strict,
-                tracer=self.trace,
+                machine, params=params, strict=strict, tracer=self.trace
             )
         raise ValueError(f"unknown scheduler {self.scheduler!r}")

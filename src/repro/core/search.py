@@ -361,7 +361,6 @@ def bounds_eject_churn(spec) -> bool:
 
     Read from the policy's ``bound_eject_churn`` attribute (a policy
     without one runs paper-exact attempts).  This is the one way a
-    policy changes what an attempt *does*, so the per-attempt cache key
-    carries it even though it strips the policy itself.
+    policy changes what an attempt *does*.
     """
     return bool(getattr(make_policy(spec), "bound_eject_churn", False))

@@ -13,6 +13,12 @@ safe (Sections 3.2.2 and 3.3.2):
   edge distances along the move chain;
 * removing an *invariant* move restores the direct invariant consumption
   of its consumers and un-marks the invariant spill.
+
+It also owns the incremental engines every attempt queries: the
+pressure tracker and, whenever the machine has a register limit, the
+arc-colouring engine — the attempt loop's one register-allocator path
+(the batch :func:`~repro.schedule.regalloc.allocate_registers` is its
+oracle and the finalizer's allocator).
 """
 
 from __future__ import annotations
@@ -100,11 +106,10 @@ class SchedulerState:
         #: tracker's lifetimes and serves the drained-regime register
         #: allocation (``registers_used`` per cluster) from per-cluster
         #: caches, register-count-identical to the batch ``_colour_arcs``
-        #: path.  ``None`` when the machine has no register limit (the
-        #: allocator verdict is never consulted) or the param turns the
-        #: engine off (the batch-oracle configuration).
+        #: path.  ``None`` exactly when the machine has no register
+        #: limit (the allocator verdict is never consulted then).
         self.colouring: IncrementalArcColouring | None = None
-        if params.incremental_colouring and machine.cluster.registers is not None:
+        if machine.cluster.registers is not None:
             self.colouring = IncrementalArcColouring(
                 graph, self.schedule, machine, self.pressure,
                 tracer=tracer,

@@ -8,7 +8,11 @@ sequentially dominates the cost of every run.  This package provides:
 * :mod:`repro.exec.hashing` - stable, content-addressed cache keys for
   (graph, machine configuration, algorithm parameters, scheduler);
 * :mod:`repro.exec.cache` - an on-disk :class:`ResultCache` memoizing
-  :class:`~repro.core.result.ScheduleResult` objects by those keys;
+  :class:`~repro.core.result.ScheduleResult` objects by those keys.
+  It is the one schedule cache: the scheduler core memoizes nothing,
+  so ``SuiteExecutor(cache=False)`` reads and writes no schedule
+  anywhere.  Simulations are cached the same way, under
+  :func:`~repro.exec.hashing.simulation_cache_key`;
 * :mod:`repro.exec.engine` - the :class:`SuiteExecutor` that fans a
   workbench out over worker processes with deterministic result
   ordering, consulting the cache before scheduling anything;
@@ -30,7 +34,6 @@ from repro.exec.engine import (
     resolve_jobs,
 )
 from repro.exec.hashing import (
-    attempt_cache_key,
     cache_key,
     result_fingerprint,
     simulation_cache_key,
@@ -42,7 +45,6 @@ __all__ = [
     "ResultCache",
     "SuiteExecutor",
     "SuiteSummary",
-    "attempt_cache_key",
     "cache_key",
     "default_cache_dir",
     "make_engine",

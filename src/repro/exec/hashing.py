@@ -20,7 +20,6 @@ import pathlib
 import repro
 from repro.core.params import MirsParams
 from repro.core.result import ScheduleResult
-from repro.core.search import bounds_eject_churn
 from repro.graph.ddg import DependenceGraph, MemRef
 from repro.machine.config import MachineConfig
 
@@ -128,38 +127,6 @@ def cache_key(
             "machine": machine.canonical(),
             "params": (params or MirsParams()).canonical(),
             "graph": canonical_graph(graph),
-        }
-    )
-
-
-def attempt_cache_key(task) -> str:
-    """Content-addressed key of one fixed-II attempt task.
-
-    An attempt's behaviour is independent of the II-*search* policy and
-    of the speculation width (both only decide *which* IIs get
-    attempted), so those are stripped from the canonical parameter
-    payload — a serial search and a K=4 race share cache entries for
-    every II they both probe.  Everything the attempt loop does consume
-    stays: the policy's churn bit (:func:`repro.core.search.bounds_eject_churn`,
-    which changes attempt verdicts' timing), the gauges, the budget,
-    the machine, the graph content hash and the HRMS priorities.
-    """
-    params = task.params.canonical()
-    params["bound_eject_churn"] = bounds_eject_churn(task.params.ii_search)
-    params.pop("ii_search", None)
-    params.pop("speculation", None)
-    # The exact backend's knobs never reach the heuristic attempt loop.
-    params.pop("smt", None)
-    return stable_hash(
-        {
-            "version": CACHE_FORMAT_VERSION,
-            "code": code_digest(),
-            "kind": "attempt",
-            "machine": task.machine.canonical(),
-            "params": params,
-            "ii": task.ii,
-            "graph": task.graph_hash,
-            "priorities": sorted(task.priorities.items()),
         }
     )
 

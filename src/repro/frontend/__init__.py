@@ -2,8 +2,9 @@
 
 The frontend closes the gap between source programs and the scheduler:
 
-* :mod:`repro.frontend.parser` — pluggable :class:`LoopParser`
-  protocol; a zero-dependency Python :mod:`ast` parser ships;
+* :mod:`repro.frontend.parser` — the zero-dependency Python
+  :mod:`ast` parser (:func:`parser_for` claims ``.py`` files and
+  rejects every other suffix);
 * :mod:`repro.frontend.analyze` — name classification plus an exact
   single-subscript memory dependence test;
 * :mod:`repro.frontend.lower` — versioned-environment lowering to a
@@ -50,13 +51,9 @@ from repro.frontend.ir import (
 from repro.frontend.lower import LoweredKernel, ScalarBinding, lower_kernel
 from repro.frontend.parser import (
     DEFAULT_TRIP_COUNT,
-    LoopParser,
     PythonAstParser,
-    available_parsers,
-    get_parser,
     parse_source,
     parser_for,
-    register_parser,
 )
 from repro.frontend.reference import SourceInterpreter, run_source
 
@@ -68,7 +65,6 @@ __all__ = [
     "Expr",
     "Kernel",
     "LoopInfo",
-    "LoopParser",
     "LoweredKernel",
     "MemDep",
     "Name",
@@ -79,16 +75,13 @@ __all__ = [
     "SourceDifferentialReport",
     "SourceInterpreter",
     "Subscript",
-    "available_parsers",
     "classify_names",
-    "get_parser",
     "live_in_hazards",
     "lower_kernel",
     "lower_source",
     "memory_dependences",
     "parse_source",
     "parser_for",
-    "register_parser",
     "run_source",
     "run_source_differential",
 ]

@@ -1,13 +1,11 @@
-"""Loop parsers: source text → :class:`repro.frontend.ir.Kernel`.
+"""The loop parser: source text → :class:`repro.frontend.ir.Kernel`.
 
-The frontend accepts any parser implementing the :class:`LoopParser`
-protocol; implementations register under a language name and a set of
-file suffixes, and a file whose suffix no parser claims raises
-:class:`~repro.errors.FrontendError`.  One ships with the repository:
-:class:`PythonAstParser` — zero-dependency, built on :mod:`ast`; the
-corpus under ``frontend/corpus/`` is written for it.
+One parser ships: :class:`PythonAstParser` — zero-dependency, built on
+:mod:`ast`; the corpus under ``frontend/corpus/`` is written for it.
+:func:`parser_for` hands it every ``.py`` file, and any other suffix
+raises :class:`~repro.errors.FrontendError`.
 
-A parser extracts every function that wraps exactly one countable
+The parser extracts every function that wraps exactly one countable
 innermost loop over ``range(start, stop, step)`` whose body is
 straight-line assignments in the frontend fragment (see
 :mod:`repro.frontend.ir`).  Statements outside the loop (accumulator
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 from repro.errors import FrontendError
 from repro.frontend.ir import (
@@ -40,63 +37,15 @@ from repro.frontend.ir import (
 DEFAULT_TRIP_COUNT = 120
 
 
-@runtime_checkable
-class LoopParser(Protocol):
-    """What the frontend needs from a language parser."""
-
-    #: Registry name (``"python"``).
-    name: str
-    #: File suffixes this parser claims (``(".py",)``).
-    suffixes: tuple[str, ...]
-
-    def parse(
-        self,
-        text: str,
-        *,
-        source: str = "<string>",
-        default_trip_count: int = DEFAULT_TRIP_COUNT,
-    ) -> list[Kernel]:
-        """Extract every kernel from one source file's text."""
-        ...
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_PARSERS: dict[str, LoopParser] = {}
-
-
-def register_parser(parser: LoopParser) -> None:
-    """Register a parser instance under its :attr:`LoopParser.name`."""
-    _PARSERS[parser.name] = parser
-
-
-def available_parsers() -> dict[str, bool]:
-    """Language name → whether the parser is usable right now."""
-    return {name: True for name in _PARSERS}
-
-
-def get_parser(name: str) -> LoopParser:
-    """Look a parser up by language name."""
-    if name in _PARSERS:
-        return _PARSERS[name]
-    raise FrontendError(
-        f"no parser registered for language {name!r} "
-        f"(available: {sorted(_PARSERS)})"
-    )
-
-
-def parser_for(path: str | Path) -> LoopParser:
-    """Pick the parser claiming the file's suffix."""
+def parser_for(path: str | Path) -> PythonAstParser:
+    """The parser for a source file: Python's, for ``.py`` files."""
     suffix = Path(path).suffix
-    for parser in _PARSERS.values():
-        if suffix in parser.suffixes:
-            return parser
-    raise FrontendError(
-        f"no parser claims {suffix!r} files (from {path}); "
-        f"known languages: {sorted(_PARSERS)}"
-    )
+    if suffix not in PythonAstParser.suffixes:
+        raise FrontendError(
+            f"no parser claims {suffix!r} files (from {path}); "
+            "only Python ('.py') sources are supported"
+        )
+    return PythonAstParser()
 
 
 def parse_source(
@@ -108,7 +57,7 @@ def parse_source(
     """Parse a source file into kernels.
 
     Args:
-        path: source file; the suffix selects the parser.
+        path: source file (``.py``; other suffixes are rejected).
         kernel: when given, return only the kernel with this name
             (raise :class:`~repro.errors.FrontendError` if absent).
         default_trip_count: trip count substituted for symbolic bounds.
@@ -462,6 +411,3 @@ class PythonAstParser:
             f"{where}:{lineno}: subscript must be affine in the loop "
             f"variable (got {ast.dump(node)})"
         )
-
-
-register_parser(PythonAstParser())

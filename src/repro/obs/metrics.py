@@ -1,7 +1,9 @@
 """Typed counters and gauges layered over the tracer.
 
 :class:`SearchStats` is the II-search ledger as a typed dataclass,
-emitted as tracer counter events.
+emitted as tracer counter events (``race.launched``,
+``race.cancelled`` and the attempt counts).  Every executed attempt
+ran in this search: attempts are never served from a cache.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ class SearchStats:
             extras included).
         launched: tasks submitted to the runner.
         cancelled: in-flight attempts revoked.
-        cache_hits: attempts satisfied by the per-attempt result cache.
     """
 
     speculation: int = 1
@@ -31,7 +32,6 @@ class SearchStats:
     executed_attempts: int = 0
     launched: int = 0
     cancelled: int = 0
-    cache_hits: int = 0
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

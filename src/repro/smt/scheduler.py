@@ -68,14 +68,12 @@ class SmtScheduler:
         self,
         machine: MachineConfig,
         params: MirsParams | None = None,
-        verify: bool = True,
         strict: bool = True,
         tracer=None,
     ):
         self.machine = machine
         self.params = params or MirsParams()
         self.smt: SmtParams = self.params.effective_smt()
-        self.verify = verify
         self.strict = strict
         self.tracer = resolve_tracer(tracer)
 
@@ -440,13 +438,12 @@ class SmtScheduler:
             graph=graph,
             trip_count=graph.trip_count,
         )
-        if self.verify:
-            violations = verify_schedule(
-                graph, self.machine, ii, times, clusters, register_usage
+        violations = verify_schedule(
+            graph, self.machine, ii, times, clusters, register_usage
+        )
+        if violations:
+            raise SchedulingError(
+                f"exact backend produced an invalid schedule for "
+                f"{graph.name}: " + "; ".join(violations[:5])
             )
-            if violations:
-                raise SchedulingError(
-                    f"exact backend produced an invalid schedule for "
-                    f"{graph.name}: " + "; ".join(violations[:5])
-                )
         return result, {}

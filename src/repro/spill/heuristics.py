@@ -30,7 +30,6 @@ from repro.cluster.moves import add_invariant_move
 from repro.graph.ddg import DepKind, Invariant, MemRef, Node
 from repro.machine.resources import OpKind, ResourceClass
 from repro.schedule.lifetimes import PressureView, UseSegment
-from repro.schedule.regalloc import allocate_registers
 
 #: Array-id namespace for compiler-generated spill slots (disjoint from
 #: the workload generator's arrays).
@@ -56,7 +55,6 @@ def check_and_insert_spill(state: SchedulerState, *, final: bool = False) -> boo
         return False
     acted = False
     tracker = state.pressure
-    allocations = None
     # One invariant-count pass for all clusters; refreshed after any
     # action below mutates the schedule or the graph.
     max_live = tracker.max_live_all()
@@ -73,24 +71,10 @@ def check_and_insert_spill(state: SchedulerState, *, final: bool = False) -> boo
                 # row and arc colours >= the peak arc density), so the
                 # expensive colouring runs only on the fitting side.
                 # The incremental engine serves the count from its
-                # per-cluster caches (recolouring only dirty clusters);
-                # the batch path is the engine-off oracle configuration.
-                if state.colouring is not None:
-                    requirement = max(
-                        requirement, state.colouring.registers_used(cluster)
-                    )
-                else:
-                    if allocations is None:
-                        allocations = allocate_registers(
-                            state.graph,
-                            state.schedule,
-                            state.machine,
-                            tracker,
-                            spilled_invariants=state.spilled_invariants,
-                        )
-                    requirement = max(
-                        requirement, allocations[cluster].registers_used
-                    )
+                # per-cluster caches (recolouring only dirty clusters).
+                requirement = max(
+                    requirement, state.colouring.registers_used(cluster)
+                )
         else:
             threshold = state.params.spill_gauge * available
         if requirement <= threshold:
@@ -100,7 +84,6 @@ def check_and_insert_spill(state: SchedulerState, *, final: bool = False) -> boo
             state, cluster
         ):
             acted = True
-            allocations = None
             max_live = tracker.max_live_all()
             if max_live[cluster] <= threshold:
                 continue
@@ -109,7 +92,6 @@ def check_and_insert_spill(state: SchedulerState, *, final: bool = False) -> boo
             acted = True
         elif _eject_from_critical_row(state, cluster, tracker):
             acted = True
-        allocations = None
         max_live = tracker.max_live_all()
     return acted
 

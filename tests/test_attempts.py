@@ -5,8 +5,6 @@ Covers the contracts the speculative driver's determinism rests on:
 * :class:`AttemptTask` / :class:`AttemptResult` survive a pickle
   round-trip (and a real process boundary) without changing what the
   attempt computes — the precondition for racing attempts over a pool;
-* the per-attempt cache key is sensitive to everything an attempt
-  consumes and blind to the search policy and speculation width;
 * a speculative K=4 search is fingerprint-identical to the committed
   workbench capture, and the search at K=1 and K=4 reproduces the
   reference ladder (:func:`helpers.reference_ladder`) on the stress
@@ -36,7 +34,6 @@ from helpers import (
     wide,
 )
 from repro import (
-    GeometricPressureSearch,
     MirsC,
     MirsParams,
     compute_mii,
@@ -52,9 +49,8 @@ from repro.core.attempts import (
 )
 from repro.core.params import max_ii_for
 from repro.errors import ConvergenceError
-from repro.exec import attempt_cache_key, result_fingerprint
-from repro.exec.cache import ResultCache
-from repro.exec.hashing import canonical_graph, stable_hash
+from repro.exec import result_fingerprint
+from repro.exec.hashing import canonical_graph
 from repro.obs import SearchStats
 
 
@@ -68,7 +64,6 @@ def make_task(graph, machine, params=None, ii=None) -> AttemptTask:
         params=params,
         ii=ii if ii is not None else compute_mii(graph, machine),
         priorities=ordering.priority,
-        graph_hash=stable_hash(canonical_graph(graph)),
     )
 
 
@@ -97,9 +92,7 @@ class TestAttemptRoundTrip:
         task = make_task(graph, TWO_CLUSTER)
         copy = pickle.loads(pickle.dumps(task))
         assert copy.ii == task.ii
-        assert copy.graph_hash == task.graph_hash
         assert copy.priorities == task.priorities
-        assert copy.cache_key() == task.cache_key()
         original = run_attempt(task)
         replayed = run_attempt(copy)
         assert replayed.outcome == original.outcome
@@ -139,45 +132,6 @@ class TestAttemptRoundTrip:
         second = run_attempt(task)
         assert first.outcome == second.outcome
         assert placements(first) == placements(second)
-
-
-# ----------------------------------------------------------------------
-# Cache keys
-# ----------------------------------------------------------------------
-
-
-class TestAttemptCacheKey:
-    def test_key_tracks_the_attempted_ii(self):
-        task = make_task(daxpy(), UNIFIED)
-        assert task.with_ii(task.ii + 1).cache_key() != task.cache_key()
-
-    def test_key_ignores_search_policy_and_speculation(self):
-        """A K=4 race shares entries with the serial search, and
-        policies share them too — except for the one bit a policy feeds
-        the attempt loop: linear runs paper-exact attempts, geometric
-        bounds eject-only churn, so their keys differ."""
-        graph = daxpy()
-
-        def key(**params):
-            return attempt_cache_key(
-                make_task(graph, UNIFIED, params=MirsParams(**params))
-            )
-
-        assert key(speculation=1) == key(speculation=4)
-        assert key(ii_search="geometric", speculation=1) == key(
-            ii_search="geometric", speculation=4
-        )
-        assert key(ii_search="linear") != key(ii_search="geometric")
-        tuned = GeometricPressureSearch(jump_fraction=0.5)
-        assert key(ii_search=tuned) == key(ii_search="geometric")
-
-    def test_key_tracks_attempt_relevant_params_and_machine(self):
-        graph = daxpy()
-        base = make_task(graph, UNIFIED)
-        budget = make_task(graph, UNIFIED, params=MirsParams(budget_ratio=6))
-        other_machine = make_task(graph, TWO_CLUSTER)
-        assert budget.cache_key() != base.cache_key()
-        assert other_machine.cache_key() != base.cache_key()
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +221,7 @@ class TestSpeculativeIdentity:
         mii = compute_mii(graph, machine)
         limit = max_ii_for(mii, len(graph), params)
         driver = SpeculativeSearchDriver(
-            machine, params, 4, runner=SerialAttemptRunner(), cache=False
+            machine, params, 4, runner=SerialAttemptRunner()
         )
         found = driver.search(
             graph.clone(), ordering.priority, mii, limit
@@ -312,7 +266,7 @@ class TestCancellationAccounting:
         assert stats.speculation == 4
         assert stats.serial_attempts == serial_attempts
         assert stats.executed_attempts < serial_attempts + 4
-        assert stats.launched >= stats.executed_attempts - stats.cache_hits
+        assert stats.launched >= stats.executed_attempts
         assert stats.cancelled >= 0
         assert result_fingerprint(speculative) == result_fingerprint(serial)
 
@@ -327,38 +281,6 @@ class TestCancellationAccounting:
         assert (stats.speculation, stats.runner) == (1, "SerialAttemptRunner")
         assert stats.executed_attempts == stats.serial_attempts
         assert stats.cancelled == 0
-
-
-# ----------------------------------------------------------------------
-# Warm per-attempt cache
-# ----------------------------------------------------------------------
-
-
-class TestAttemptCache:
-    def test_second_search_is_served_from_the_cache(self, tmp_path):
-        machine = parse_config("1-(GP8M4-REG64)")
-        graph = next(iter(stress_graphs(1)))
-        params = MirsParams(ii_search="geometric")
-        ordering = hrms_order(graph, machine)
-        mii = compute_mii(graph, machine)
-        limit = max_ii_for(mii, len(graph), params)
-        cache = ResultCache(tmp_path)
-
-        cold = SpeculativeSearchDriver(
-            machine, params, 2, runner=SerialAttemptRunner(), cache=cache
-        ).search(graph.clone(), ordering.priority, mii, limit)
-        assert cold.stats.cache_hits == 0
-        assert cold.stats.executed_attempts > 0
-
-        warm = SpeculativeSearchDriver(
-            machine, params, 2, runner=SerialAttemptRunner(), cache=cache
-        ).search(graph.clone(), ordering.priority, mii, limit)
-        assert warm.stats.cache_hits == cold.stats.executed_attempts
-        assert warm.best is not None and cold.best is not None
-        assert warm.best.ii == cold.best.ii
-        assert [r.outcome for r in warm.path] == [
-            r.outcome for r in cold.path
-        ]
 
 
 # ----------------------------------------------------------------------

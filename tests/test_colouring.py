@@ -19,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.attempts import AttemptEngine
 from repro.core.mirsc import MirsC
 from repro.core.params import MirsParams
 from repro.errors import SchedulingError
+from repro.order.hrms import hrms_order
 from repro.schedule import colouring as colouring_module
 from repro.schedule.colouring import IncrementalArcColouring, arc_mask
 from repro.schedule.lifetimes import LifetimeAnalysis
@@ -222,16 +224,31 @@ class TestWholeRuns:
 
     @pytest.mark.parametrize("machine", [UNIFIED, FOUR_CLUSTER_TIGHT])
     def test_final_allocation_identical_engine_on_and_off(self, machine):
-        """The engine changes no verdict: register usage of finished
-        schedules is identical with the incremental allocator on/off."""
+        """The engine's final verdict is the batch allocator's: on the
+        finished state of each accepted attempt, the engine's
+        per-cluster counts equal a from-scratch batch allocation, and
+        the finalized result reports exactly those counts."""
         for loop in cached_suite(6):
-            on = MirsC(machine).schedule(loop.graph)
-            off = MirsC(
-                machine, params=MirsParams(incremental_colouring=False)
-            ).schedule(loop.graph)
-            assert on.register_usage == off.register_usage
-            assert on.ii == off.ii
-            assert on.times == off.times
+            result = MirsC(machine).schedule(loop.graph)
+            state, outcome = AttemptEngine(machine, MirsParams()).run(
+                loop.graph.clone(),
+                result.ii,
+                hrms_order(loop.graph, machine).priority,
+            )
+            assert outcome.scheduled
+            engine = state.colouring.registers_used_all()
+            batch = allocate_registers(
+                state.graph,
+                state.schedule,
+                machine,
+                LifetimeAnalysis(
+                    state.graph, state.schedule, machine,
+                    spilled_invariants=state.spilled_invariants,
+                ),
+                spilled_invariants=state.spilled_invariants,
+            )
+            assert engine == {c: a.registers_used for c, a in batch.items()}
+            assert result.register_usage == engine
 
 
 class TestEngineLifecycle:
@@ -239,24 +256,6 @@ class TestEngineLifecycle:
         from repro.machine.config import parse_config
 
         state = fresh_state(3, parse_config("1-(GP8M4-REGinf)"))
-        assert state.colouring is None
-
-    def test_param_toggle_disables_engine(self):
-        from repro.core.state import SchedulerState
-        from repro.graph.mii import compute_mii
-        from repro.order.hrms import hrms_order
-        from tests.helpers import random_graph
-
-        graph = random_graph(5, size=10)
-        machine = UNIFIED_SMALL
-        ordering = hrms_order(graph, machine)
-        state = SchedulerState(
-            graph,
-            machine,
-            compute_mii(graph, machine),
-            ordering.priority,
-            MirsParams(incremental_colouring=False),
-        )
         assert state.colouring is None
 
     def test_detach_stops_observing(self):

@@ -186,6 +186,31 @@ class TestCache:
         assert len(cache) == 0
 
 
+class TestNoCacheMeansNoCache:
+    def test_cache_false_writes_nothing_under_repro_cache_dir(
+        self, tmp_path, monkeypatch
+    ):
+        """``cache=False`` holds even when ``REPRO_CACHE_DIR`` names a
+        cache: no layer memoizes a schedule, so a repeat run executes
+        every attempt again and nothing lands on disk."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_SPECULATION", raising=False)
+
+        def attempts(results):
+            return [
+                (r.stats.search.executed_attempts, r.stats.search.launched)
+                for r in results
+            ]
+
+        first = SuiteExecutor(jobs=1, cache=False).run(MACHINE, LOOPS)
+        second = SuiteExecutor(jobs=1, cache=False).run(MACHINE, LOOPS)
+        MirsC(MACHINE).schedule(LOOPS[0].graph)
+        assert list(tmp_path.rglob("*")) == []
+        assert attempts(second) == attempts(first)
+        assert fingerprints(second) == fingerprints(first)
+
+
 class TestPickleDeterminism:
     def test_pickle_roundtrip_schedules_identically(self):
         """A graph shipped to a worker via pickle must schedule exactly

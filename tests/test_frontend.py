@@ -43,8 +43,6 @@ from repro.frontend.corpus import (
 from repro.frontend.parser import (
     DEFAULT_TRIP_COUNT,
     PythonAstParser,
-    available_parsers,
-    get_parser,
 )
 from repro.graph.ddg import DepKind
 from repro.graph.recurrences import recurrence_mii
@@ -212,16 +210,20 @@ class TestPythonParser:
 
 
 class TestParserRegistry:
+    """``parser_for``: the one parser claims ``.py`` files, and every
+    other suffix is a typed rejection."""
+
     def test_python_parser_registered_and_available(self):
-        assert available_parsers().get("python") is True
-        assert get_parser("python").name == "python"
+        path = corpus_path("saxpy")
+        parser = parser_for(path)
+        assert isinstance(parser, PythonAstParser)
+        kernels = parser.parse(path.read_text(), source=str(path))
+        assert [k.name for k in kernels] == ["saxpy"]
 
     def test_parser_for_by_suffix(self):
         assert parser_for("anything.py").name == "python"
 
     def test_unknown_parser_and_suffix(self):
-        with pytest.raises(FrontendError, match="no parser registered"):
-            get_parser("fortran")
         with pytest.raises(FrontendError, match="no parser claims"):
             parser_for("loop.f90")
 
@@ -237,7 +239,6 @@ class TestParserRegistry:
 
     def test_c_parser_gated_cleanly(self):
         # No C parser ships: a .c file fails like any unclaimed suffix.
-        assert "c" not in available_parsers()
         with pytest.raises(FrontendError, match="no parser claims"):
             parser_for("kernels.c")
 
@@ -611,7 +612,7 @@ class TestFrontendCli:
         for name in CORPUS_KERNELS:
             assert name in out
         assert "RecMII" in out
-        assert "python (available)" in out
+        assert "parser: python (.py sources)" in out
 
     def test_frontend_show_kernel(self, capsys):
         from repro.cli import main

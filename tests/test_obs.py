@@ -245,14 +245,11 @@ class TestRaceSpans:
         mii = compute_mii(graph, machine)
         limit = max_ii_for(mii, len(graph), params)
         tracer = RecordingTracer()
-        driver = SpeculativeSearchDriver(
-            machine, params, 4, cache=False, tracer=tracer
-        )
+        driver = SpeculativeSearchDriver(machine, params, 4, tracer=tracer)
         found = driver.search(graph.clone(), ordering.priority, mii, limit)
         stats = found.stats
         assert type(driver.runner).__name__ == "PoolAttemptRunner"
         assert stats.runner == "PoolAttemptRunner"
-        assert stats.cache_hits == 0
 
         spans = [
             e for e in tracer.events
@@ -291,7 +288,7 @@ class TestRaceSpans:
         ).schedule(daxpy())
         stats = result.stats.search
         assert isinstance(stats, SearchStats)
-        for field in ("launched", "cancelled", "cache_hits"):
+        for field in ("launched", "cancelled"):
             assert tracer.gauges[f"race.{field}"] == getattr(stats, field)
 
 

@@ -44,7 +44,6 @@ from repro.errors import (
     optional_import,
     require_optional,
 )
-from repro.exec.hashing import canonical_graph, stable_hash
 from repro.graph.mii import compute_mii
 from repro.order.hrms import hrms_order
 from repro.schedule.lifetimes import LifetimeAnalysis
@@ -374,7 +373,6 @@ def _attempt_probe(graph, machine, ii):
         params=MirsParams(),
         ii=ii,
         priorities=ordering.priority,
-        graph_hash=stable_hash(canonical_graph(graph)),
     )
     return run_attempt(task)
 
