@@ -52,6 +52,7 @@ passes >= 1).
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 from repro.analysis.cfg import (
     EPILOGUE,
@@ -70,11 +71,11 @@ from repro.analysis.model import (
 from repro.codegen.emitter import GeneratedCode, Instruction
 from repro.core.result import ScheduleResult
 from repro.errors import GraphError
-from repro.graph.ddg import DependenceGraph, DepKind, Edge, Node
+from repro.graph.ddg import DependenceGraph, DepKind, Node
 from repro.graph.latency import edge_latency
 from repro.machine.config import MachineConfig
-from repro.machine.reservation import ClusterRole, ReservationStep, reservation_steps
-from repro.machine.resources import OpKind, ResourceClass
+from repro.machine.reservation import ClusterRole, reservation_steps
+from repro.machine.resources import ResourceClass
 
 #: Hard cap on kernel passes explored before the certifier gives up on
 #: the dataflow fixpoint and reports a STRUCTURE violation (legal code
@@ -83,38 +84,51 @@ from repro.machine.resources import OpKind, ResourceClass
 MAX_FIXPOINT_SLACK = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class _RegContent:
-    """What a register holds: a pipeline definition or a live-in.
+#: A value instance: ``(operation, iteration, live_in)``.
+_Instance = tuple[int, int, bool]
+#: What a register holds: the instance it last received and the
+#: concrete cycle the defining instruction issued at (-1 for live-ins,
+#: which are ready at loop entry).
+_Content = tuple[_Instance, int]
 
-    ``write_cycle`` is the concrete cycle the defining instruction
-    issued at (-1 for live-ins, which are ready at loop entry).
+
+#: Sort key of ``(instance, latency)`` pairs: by producer, then by
+#: iteration (``live_in`` follows from the iteration's sign).
+_by_instance = operator.itemgetter(0)
+
+
+def _describe(instance: _Instance) -> str:
+    node, iteration, live_in = instance
+    if live_in:
+        return f"live-in of value {node} (iteration {iteration})"
+    return f"value {node} of iteration {iteration}"
+
+
+@dataclasses.dataclass(frozen=True)
+class _NodePlan:
+    """What the dataflow walk needs to know of one graph node.
+
+    Every emitted instance of the node - one per prologue, kernel and
+    epilogue copy, each kernel copy revisited on every explored pass
+    and epilogue replay - is checked against the same graph facts, so
+    they are resolved once per node instead of once per visit.
     """
 
-    node: int
-    iteration: int
-    live_in: bool
-    write_cycle: int
-
-    def describe(self) -> str:
-        if self.live_in:
-            return f"live-in of value {self.node} (iteration {self.iteration})"
-        return f"value {self.node} of iteration {self.iteration}"
-
-
-@dataclasses.dataclass(frozen=True)
-class _Expected:
-    """The instance one dependence-graph operand requires."""
-
-    edge: Edge
-    node: int
-    iteration: int
-    live_in: bool
-
-    def describe(self) -> str:
-        if self.live_in:
-            return f"live-in of value {self.node} (iteration {self.iteration})"
-        return f"value {self.node} of iteration {self.iteration}"
+    stage: int
+    #: The scheduled cluster (``None``: the instruction's own).
+    cluster: int | None
+    is_move: bool
+    src_cluster: int | None
+    produces_value: bool
+    has_reg_consumers: bool
+    kind_name: str
+    invariants: list[str]
+    #: ``(producer, distance, live-in modulus, latency)`` per register
+    #: dependence.
+    reg_edges: tuple[tuple[int, int, int, int], ...]
+    #: ``(producer, distance, latency, kind name)`` per memory/control
+    #: dependence.
+    other_edges: tuple[tuple[int, int, int, str], ...]
 
 
 class _Certifier:
@@ -148,24 +162,6 @@ class _Certifier:
         #: (prologue + kernel passes); epilogue replays overlay it.
         self.issue_cycle: dict[tuple[int, int], int] = {}
         self._nodes: dict[int, Node] = {node.id: node for node in graph.nodes()}
-        self._reg_in: dict[int, list[Edge]] = {
-            node_id: graph.reg_producers(node_id) for node_id in self._nodes
-        }
-        self._other_in: dict[int, list[Edge]] = {
-            node_id: [
-                edge
-                for edge in graph.in_edges(node_id)
-                if edge.kind is not DepKind.REG
-            ]
-            for node_id in self._nodes
-        }
-        self._has_reg_consumers: dict[int, bool] = {
-            node_id: bool(graph.reg_consumers(node_id)) for node_id in self._nodes
-        }
-        self._invariant_names: dict[int, list[str]] = {
-            node_id: sorted(inv.name for inv in graph.invariants_of(node_id))
-            for node_id in self._nodes
-        }
         #: Live-in modulus per value: a value held in ``m`` distinct
         #: physical registers presents at most ``m`` distinct live-ins,
         #: so pre-loop instances congruent modulo ``m`` are physically
@@ -174,16 +170,9 @@ class _Certifier:
         self._live_in_modulus: dict[int, int] = {
             value: len(set(names)) for value, names in code.registers.items()
         }
-        #: Edge latencies, resolved once: the dataflow walk re-checks
-        #: the same static edge on every kernel pass and epilogue
-        #: replay, and ``edge_latency`` re-derives the operation class
-        #: each time.
-        self._latency: dict[int, int] = {
-            id(edge): edge_latency(graph, edge, self.machine)
-            for edges in (self._reg_in, self._other_in)
-            for edge_list in edges.values()
-            for edge in edge_list
-        }
+        #: node id -> its walk plan (``None``: not walkable), built on
+        #: the node's first visit.
+        self._plans: dict[int, _NodePlan | None] = {}
 
     # ------------------------------------------------------------------
     # Violation recording
@@ -341,34 +330,28 @@ class _Certifier:
                 max_occ = max(max_occ, self.machine.occupancy(kind))
         passes = max(2, -(-max_occ // kernel_cycles) + 1)
 
-        steps_of: dict[OpKind, tuple[ReservationStep, ...]] = {}
         usage: dict[tuple[ResourceClass, int], dict[int, list[int]]] = {}
+        # (node, cluster) -> the pools one instance reserves, with the
+        # offset and duration of each reservation.
+        slots_of: dict[
+            tuple[int, int], list[tuple[dict[int, list[int]], int, int]]
+        ] = {}
         site_at: dict[int, BundleSite] = {}
         for site in self.cfg.linearized(passes):
             site_at[site.cycle] = site
             for inst in site.bundle:
-                node = self._nodes.get(inst.node)
-                if node is None:
-                    continue
-                steps = steps_of.get(node.kind)
-                if steps is None:
-                    steps = reservation_steps(node.kind, self.machine)
-                    steps_of[node.kind] = steps
-                for step in steps:
-                    if step.role is ClusterRole.SELF:
-                        target = inst.cluster
-                    elif step.role is ClusterRole.SOURCE:
-                        if node.src_cluster is None:
-                            continue  # reported by the dataflow walk
-                        target = node.src_cluster
-                    else:
-                        if self.machine.buses is None:
-                            continue  # unbounded interconnect
-                        target = -1
-                    pool = usage.setdefault((step.resource, target), {})
-                    for offset in range(step.duration):
-                        cycle = site.cycle + step.offset + offset
-                        pool.setdefault(cycle, []).append(inst.node)
+                key = (inst.node, inst.cluster)
+                slots = slots_of.get(key)
+                if slots is None:
+                    slots = slots_of[key] = self._reservation_slots(inst, usage)
+                node_id = inst.node
+                for pool, offset, duration in slots:
+                    start = site.cycle + offset
+                    for cycle in range(start, start + duration):
+                        if cycle in pool:
+                            pool[cycle].append(node_id)
+                        else:
+                            pool[cycle] = [node_id]
 
         for (resource, target), pool in sorted(
             usage.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
@@ -394,6 +377,31 @@ class _Certifier:
                 )
                 break  # first overflow per pool is the diagnostic one
 
+    def _reservation_slots(
+        self,
+        inst: Instruction,
+        usage: dict[tuple[ResourceClass, int], dict[int, list[int]]],
+    ) -> list[tuple[dict[int, list[int]], int, int]]:
+        """The ``(pool, offset, duration)`` reservations of ``inst``."""
+        node = self._nodes.get(inst.node)
+        if node is None:
+            return []
+        slots: list[tuple[dict[int, list[int]], int, int]] = []
+        for step in reservation_steps(node.kind, self.machine):
+            if step.role is ClusterRole.SELF:
+                target = inst.cluster
+            elif step.role is ClusterRole.SOURCE:
+                if node.src_cluster is None:
+                    continue  # reported by the dataflow walk
+                target = node.src_cluster
+            else:
+                if self.machine.buses is None:
+                    continue  # unbounded interconnect
+                target = -1
+            pool = usage.setdefault((step.resource, target), {})
+            slots.append((pool, step.offset, step.duration))
+        return slots
+
     def _steps_iter(self) -> list[Node]:
         return [
             self._nodes[inst.node]
@@ -405,7 +413,7 @@ class _Certifier:
     # Register dataflow
     # ------------------------------------------------------------------
 
-    def _initial_state(self) -> dict[str, _RegContent]:
+    def _initial_state(self) -> dict[str, _Content]:
         """Loop-entry register contents (mirrors the simulator).
 
         Copy ``c`` of a value's register set is owned by pre-loop
@@ -415,64 +423,71 @@ class _Certifier:
         symbolic live-ins in place of concrete values.
         """
         mve = self.code.mve_factor
-        state: dict[str, _RegContent] = {}
+        state: dict[str, _Content] = {}
         for value, names in sorted(self.code.registers.items()):
             for copy, name in enumerate(names):
-                state[name] = _RegContent(
-                    node=value,
-                    iteration=copy - mve,
-                    live_in=True,
-                    write_cycle=-1,
-                )
+                state[name] = ((value, copy - mve, True), -1)
         return state
 
-    def _expected_operands(self, node_id: int, iteration: int) -> list[_Expected]:
-        expected = []
-        for edge in self._reg_in[node_id]:
-            produced = iteration - edge.distance
-            if produced < 0:
-                # Collapse pre-loop instances onto the value's physical
-                # live-in registers (see ``_live_in_modulus``).
-                modulus = self._live_in_modulus.get(edge.src, 1)
-                produced = produced % modulus - modulus
-            expected.append(
-                _Expected(
-                    edge=edge,
-                    node=edge.src,
-                    iteration=produced,
-                    live_in=produced < 0,
-                )
-            )
-        return expected
+    def _plan(self, node_id: int) -> _NodePlan | None:
+        """The graph facts of ``node_id`` (``None``: not walkable).
+
+        A node missing from the graph, or without a scheduled cycle, is
+        reported by :meth:`check_replication`.
+        """
+        node = self._nodes.get(node_id)
+        stage = self.stage_of.get(node_id)
+        if node is None or stage is None:
+            return None
+        graph = self.graph
+        modulus = self._live_in_modulus
+        return _NodePlan(
+            stage=stage,
+            cluster=self.schedule.clusters.get(node_id),
+            is_move=node.is_move,
+            src_cluster=node.src_cluster,
+            produces_value=node.produces_value,
+            has_reg_consumers=bool(graph.reg_consumers(node_id)),
+            kind_name=node.kind.value,
+            invariants=sorted(inv.name for inv in graph.invariants_of(node_id)),
+            reg_edges=tuple(
+                (edge.src, edge.distance, modulus.get(edge.src, 1),
+                 edge_latency(graph, edge, self.machine))
+                for edge in graph.reg_producers(node_id)
+            ),
+            other_edges=tuple(
+                (edge.src, edge.distance,
+                 edge_latency(graph, edge, self.machine), edge.kind.value)
+                for edge in graph.in_edges(node_id)
+                if edge.kind is not DepKind.REG
+            ),
+        )
 
     def _check_instruction(
         self,
         site: BundleSite,
         inst: Instruction,
-        state: dict[str, _RegContent],
+        plan: _NodePlan,
+        state: dict[str, _Content],
         issued: dict[tuple[int, int], int],
-        writes: list[tuple[str, _RegContent, int]],
+        writes: list[tuple[str, _Content, int]],
     ) -> None:
-        node = self._nodes.get(inst.node)
-        if node is None:
-            return  # reported by check_replication
-        stage = self.stage_of.get(inst.node)
-        if stage is None:
-            return  # reported by check_replication
-        iteration = site.block - stage
-        cluster = self.schedule.clusters.get(inst.node, inst.cluster)
+        node_id = inst.node
+        cycle = site.cycle
+        iteration = site.block - plan.stage
+        cluster = plan.cluster if plan.cluster is not None else inst.cluster
 
         reg_names, inv_names = split_sources(inst.sources)
 
         # Cluster locality: moves read from their declared source
         # cluster, everything else from its own register file.
-        source_cluster = node.src_cluster if node.is_move else cluster
-        if node.is_move and node.src_cluster is None:
+        source_cluster = plan.src_cluster if plan.is_move else cluster
+        if plan.is_move and plan.src_cluster is None:
             self._report(
                 ViolationKind.STRUCTURE,
                 site,
-                operation=inst.node,
-                detail=f"move {inst.node} declares no source cluster",
+                operation=node_id,
+                detail=f"move {node_id} declares no source cluster",
             )
         for name in reg_names:
             owner = register_cluster(name)
@@ -481,7 +496,7 @@ class _Certifier:
                     ViolationKind.OPERAND_MISMATCH,
                     site,
                     register=name,
-                    operation=inst.node,
+                    operation=node_id,
                     detail=f"malformed register name {name!r}",
                 )
             elif source_cluster is not None and owner != source_cluster:
@@ -489,23 +504,25 @@ class _Certifier:
                     ViolationKind.CROSS_CLUSTER,
                     site,
                     register=name,
-                    operation=inst.node,
+                    operation=node_id,
                     detail=(
-                        f"node {inst.node} on cluster {cluster} reads "
+                        f"node {node_id} on cluster {cluster} reads "
                         f"{name} from cluster {owner} without a move"
-                        if not node.is_move
-                        else f"move {inst.node} reads {name} from cluster "
-                        f"{owner} but declares source {node.src_cluster}"
+                        if not plan.is_move
+                        else f"move {node_id} reads {name} from cluster "
+                        f"{owner} but declares source {plan.src_cluster}"
                     ),
                 )
 
         # Invariant operands must be exactly the graph's.
-        expected_invariants = self._invariant_names[inst.node]
-        if sorted(inv_names) != expected_invariants:
+        expected_invariants = plan.invariants
+        if (inv_names or expected_invariants) and (
+            sorted(inv_names) != expected_invariants
+        ):
             self._report(
                 ViolationKind.OPERAND_MISMATCH,
                 site,
-                operation=inst.node,
+                operation=node_id,
                 detail=(
                     f"invariant operands {sorted(inv_names)} != "
                     f"{expected_invariants} required by the graph"
@@ -513,67 +530,69 @@ class _Certifier:
             )
 
         # Resolve every register read (before any write of this bundle).
-        contents: list[tuple[str, _RegContent | None]] = []
+        self.reads_checked += len(reg_names)
+        unmatched_reads: list[tuple[str, _Content | None]] = []
         for name in reg_names:
-            self.reads_checked += 1
             content = state.get(name)
             if content is None:
                 self._report(
                     ViolationKind.UNDEFINED_READ,
                     site,
                     register=name,
-                    operation=inst.node,
+                    operation=node_id,
                     detail=(
-                        f"node {inst.node} reads {name} which no definition "
+                        f"node {node_id} reads {name} which no definition "
                         "or live-in ever reaches"
                     ),
                 )
-            contents.append((name, content))
+            unmatched_reads.append((name, content))
 
-        # Match reads against the graph's operands: exact instance
-        # matches first, then classify the leftovers.
-        expected = self._expected_operands(inst.node, iteration)
-        if len(reg_names) != len(expected):
+        # The instances the graph's register operands require; pre-loop
+        # instances collapse onto the value's physical live-in
+        # registers (see ``_live_in_modulus``).
+        wanted: list[tuple[_Instance, int]] = []
+        for src, distance, modulus, latency in plan.reg_edges:
+            produced = iteration - distance
+            if produced < 0:
+                produced = produced % modulus - modulus
+            wanted.append(((src, produced, produced < 0), latency))
+        if len(reg_names) != len(wanted):
             self._report(
                 ViolationKind.OPERAND_MISMATCH,
                 site,
-                operation=inst.node,
+                operation=node_id,
                 detail=(
                     f"{len(reg_names)} register operands for "
-                    f"{len(expected)} register dependences"
+                    f"{len(wanted)} register dependences"
                 ),
             )
-        unmatched_reads = list(contents)
-        for want in sorted(
-            expected, key=lambda w: (w.node, w.iteration)
-        ):
+        if len(wanted) > 1:
+            wanted.sort(key=_by_instance)
+
+        # Match reads against the graph's operands: exact instance
+        # matches first, then classify the leftovers.
+        for want, latency in wanted:
             hit = None
             for index, (name, content) in enumerate(unmatched_reads):
-                if (
-                    content is not None
-                    and content.live_in == want.live_in
-                    and content.node == want.node
-                    and content.iteration == want.iteration
-                ):
+                if content is not None and content[0] == want:
                     hit = index
                     break
             if hit is not None:
                 name, content = unmatched_reads.pop(hit)
                 assert content is not None
-                if not content.live_in:
-                    latency = self._latency[id(want.edge)]
-                    if site.cycle < content.write_cycle + latency:
-                        self._report(
-                            ViolationKind.LATENCY,
-                            site,
-                            register=name,
-                            operation=inst.node,
-                            detail=(
-                                f"node {inst.node} reads {want.describe()} "
-                                f"{site.cycle - content.write_cycle} cycles "
-                                f"after its definition; latency is {latency}"
-                            ),
-                        )
+                write_cycle = content[1]
+                if not want[2] and cycle < write_cycle + latency:
+                    self._report(
+                        ViolationKind.LATENCY,
+                        site,
+                        register=name,
+                        operation=node_id,
+                        detail=(
+                            f"node {node_id} reads {_describe(want)} "
+                            f"{cycle - write_cycle} cycles "
+                            f"after its definition; latency is {latency}"
+                        ),
+                    )
                 continue
             # No read observes the required instance: classify against
             # the (deterministically chosen) first unmatched read.
@@ -585,7 +604,8 @@ class _Certifier:
             name, content = offender
             unmatched_reads.remove(offender)
             assert content is not None
-            if content.live_in and not want.live_in:
+            held = content[0]
+            if held[2] and not want[2]:
                 kind = ViolationKind.STALE_LIVE_IN
             else:
                 kind = ViolationKind.WRONG_PRODUCER
@@ -593,94 +613,90 @@ class _Certifier:
                 kind,
                 site,
                 register=name,
-                operation=inst.node,
+                operation=node_id,
                 detail=(
-                    f"node {inst.node} needs {want.describe()} but {name} "
-                    f"holds {content.describe()}"
+                    f"node {node_id} needs {_describe(want)} but {name} "
+                    f"holds {_describe(held)}"
                 ),
             )
 
         # Destination bookkeeping.
-        if inst.dest is not None:
-            if not node.produces_value:
+        dest = inst.dest
+        if dest is not None:
+            if not plan.produces_value:
                 self._report(
                     ViolationKind.OPERAND_MISMATCH,
                     site,
-                    register=inst.dest,
-                    operation=inst.node,
-                    detail=f"{node.kind.value} node {inst.node} writes a register",
+                    register=dest,
+                    operation=node_id,
+                    detail=f"{plan.kind_name} node {node_id} writes a register",
                 )
-            owner = register_cluster(inst.dest)
+            owner = register_cluster(dest)
             if owner is not None and owner != cluster:
                 self._report(
                     ViolationKind.CROSS_CLUSTER,
                     site,
-                    register=inst.dest,
-                    operation=inst.node,
+                    register=dest,
+                    operation=node_id,
                     detail=(
-                        f"node {inst.node} on cluster {cluster} writes "
-                        f"{inst.dest} of cluster {owner}"
+                        f"node {node_id} on cluster {cluster} writes "
+                        f"{dest} of cluster {owner}"
                     ),
                 )
-            writes.append(
-                (
-                    inst.dest,
-                    _RegContent(
-                        node=inst.node,
-                        iteration=iteration,
-                        live_in=False,
-                        write_cycle=site.cycle,
-                    ),
-                    inst.node,
-                )
-            )
-        elif self._has_reg_consumers[inst.node]:
+            writes.append((dest, ((node_id, iteration, False), cycle), node_id))
+        elif plan.has_reg_consumers:
             self._report(
                 ViolationKind.OPERAND_MISMATCH,
                 site,
-                operation=inst.node,
+                operation=node_id,
                 detail=(
-                    f"node {inst.node} has register consumers but the "
+                    f"node {node_id} has register consumers but the "
                     "instruction writes no destination"
                 ),
             )
 
         # Memory / control ordering across the concrete walk.
-        for edge in self._other_in[inst.node]:
-            produced = iteration - edge.distance
+        for src, distance, latency, kind_name in plan.other_edges:
+            produced = iteration - distance
             if produced < 0:
                 continue
-            producer_cycle = issued.get((edge.src, produced))
+            producer_cycle = issued.get((src, produced))
             if producer_cycle is None:
-                producer_cycle = self.issue_cycle.get((edge.src, produced))
+                producer_cycle = self.issue_cycle.get((src, produced))
             if producer_cycle is None:
                 continue
-            latency = self._latency[id(edge)]
-            if site.cycle < producer_cycle + latency:
+            if cycle < producer_cycle + latency:
                 self._report(
                     ViolationKind.LATENCY,
                     site,
-                    operation=inst.node,
+                    operation=node_id,
                     detail=(
-                        f"{edge.kind.value} dependence {edge.src}->"
-                        f"{inst.node} (d={edge.distance}) violated: issued "
-                        f"{site.cycle - producer_cycle} cycles apart, "
+                        f"{kind_name} dependence {src}->"
+                        f"{node_id} (d={distance}) violated: issued "
+                        f"{cycle - producer_cycle} cycles apart, "
                         f"latency {latency}"
                     ),
                 )
-        issued[(inst.node, iteration)] = site.cycle
+        issued[(node_id, iteration)] = cycle
 
     def _walk_site(
         self,
         site: BundleSite,
-        state: dict[str, _RegContent],
+        state: dict[str, _Content],
         issued: dict[tuple[int, int], int],
     ) -> None:
         """Execute one bundle symbolically: read-first, then write back."""
         self.bundles_checked += 1
-        writes: list[tuple[str, _RegContent, int]] = []
+        plans = self._plans
+        writes: list[tuple[str, _Content, int]] = []
         for inst in site.bundle:
-            self._check_instruction(site, inst, state, issued, writes)
+            node_id = inst.node
+            if node_id in plans:
+                plan = plans[node_id]
+            else:
+                plan = plans[node_id] = self._plan(node_id)
+            if plan is not None:
+                self._check_instruction(site, inst, plan, state, issued, writes)
         written: dict[str, int] = {}
         for name, content, node_id in writes:
             earlier = written.get(name)
@@ -699,18 +715,13 @@ class _Certifier:
             state[name] = content
 
     def _normalized(
-        self, state: dict[str, _RegContent], passes: int
+        self, state: dict[str, _Content], passes: int
     ) -> frozenset[tuple[str, bool, int, int]]:
         """State modulo the per-pass iteration shift (fixpoint test)."""
         shift = passes * self.code.mve_factor
         return frozenset(
-            (
-                name,
-                content.live_in,
-                content.node,
-                content.iteration - (0 if content.live_in else shift),
-            )
-            for name, content in state.items()
+            (name, live_in, node, iteration - (0 if live_in else shift))
+            for name, ((node, iteration, live_in), _) in state.items()
         )
 
     def check_dataflow(self) -> None:

@@ -7,7 +7,7 @@ control-flow shape: a straight-line **prologue**, a **kernel** of
 **epilogue**.  :class:`BundleCFG` materializes that shape and yields
 *concrete* bundle sites - ``(section, index, cycle, block)`` tuples -
 for any number of kernel passes, mirroring the cycle accounting of
-:meth:`repro.sim.vliw.VliwSimulator._bundles`: the ``block`` (global
+:meth:`repro.sim.vliw.VliwSimulator.run`: the ``block`` (global
 cycle block, ``cycle // II``) is what turns an instruction's stage into
 the loop iteration it executes on behalf of (``iteration = block -
 stage``).

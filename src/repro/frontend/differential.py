@@ -8,13 +8,16 @@ agree bit for bit:
    :class:`~repro.sim.reference.ReferenceInterpreter` on the *pristine*
    lowered graph.  A mismatch here is a frontend bug: a wrong
    dependence distance, a misdirected memory arc, a bad MemRef.
-2. **Emitted code vs final graph** — the existing
+2. **Emitted code vs final graph** — the check of
    :func:`repro.sim.differential.run_differential` (scheduler, spill,
    moves, allocation, emission).
 3. **Emitted code vs source** — the end-to-end statement: the VLIW
    pipeline's values, restricted to the source's operations and the
    source's arrays, against direct source execution under the emitted
    code's live-in register moduli.
+
+Links 2 and 3 read the same simulation: the emitted code runs once per
+differential, and that one run is compared with both references.
 
 Link 3 has one structural caveat: the simulator materializes live-in
 registers as functions of the *final-graph* value that owns the
@@ -41,13 +44,22 @@ from repro.frontend.lower import LoweredKernel
 from repro.frontend.reference import SourceInterpreter
 from repro.graph.ddg import DepKind, DependenceGraph
 from repro.machine.resources import OpKind
-from repro.sim.differential import MAX_REPORTED, run_differential
+from repro.sim.differential import (
+    compare_run,
+    memoized_report,
+    run_differential,
+    state_mismatches,
+)
 from repro.sim.reference import (
     ReferenceInterpreter,
     live_in_moduli_of_code,
     spill_load_distance,
 )
 from repro.sim.vliw import VliwSimulator
+
+
+#: How links 1 and 3 render a mismatch: ``actual != expected``.
+_PAIR = "{} != {}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,51 +133,6 @@ def live_in_hazards(graph: DependenceGraph) -> tuple[str, ...]:
     return tuple(hazards)
 
 
-def _compare_runs(
-    label: str,
-    actual: dict[tuple[int, int], int],
-    expected: dict[tuple[int, int], int],
-    actual_memory: dict[int, int],
-    expected_memory: dict[int, int],
-    names: dict[int, str],
-    mismatches: list[str],
-) -> bool:
-    """Append mismatch descriptions; True when both states agree."""
-    found = 0
-    truncated = 0
-    for instance in sorted(set(actual) | set(expected)):
-        got = actual.get(instance)
-        want = expected.get(instance)
-        if got == want:
-            continue
-        if found < MAX_REPORTED:
-            node_id, iteration = instance
-            mismatches.append(
-                f"[{label}] value of {names.get(node_id, node_id)} @ "
-                f"iteration {iteration}: {got} != {want}"
-            )
-        else:
-            truncated += 1
-        found += 1
-    for address in sorted(set(actual_memory) | set(expected_memory)):
-        got = actual_memory.get(address)
-        want = expected_memory.get(address)
-        if got == want:
-            continue
-        if found < MAX_REPORTED * 2:
-            mismatches.append(
-                f"[{label}] memory[{address:#x}]: {got} != {want}"
-            )
-        else:
-            truncated += 1
-        found += 1
-    if truncated:
-        mismatches.append(
-            f"[{label}] ... and {truncated} further mismatches"
-        )
-    return found == 0
-
-
 def run_source_differential(
     lowered: LoweredKernel,
     schedule: ScheduleResult,
@@ -183,66 +150,75 @@ def run_source_differential(
             round it up to whole kernel passes, and every comparison
             uses the effective count.
         cache: memoization selector for the (deterministic) link-2
-            differential, as accepted by
-            :func:`repro.exec.cache.resolve_cache`.
+            report, as accepted by
+            :func:`repro.exec.cache.resolve_cache`.  Link 3 needs the
+            simulation anyway, so a hit spares it only when link 3 is
+            skipped; either way the code is simulated at most once.
     """
     if schedule.graph is None:
         raise FrontendError(
             f"{lowered.name}: schedule carries no final graph to validate"
         )
     names = {node.id: node.name for node in lowered.graph.nodes()}
-    mismatches: list[str] = []
 
     # Link 1: source semantics vs the lowered graph, exact live-ins.
     source = SourceInterpreter(lowered).run(iterations)
     reference = ReferenceInterpreter(lowered.graph).run(iterations)
-    analysis_match = _compare_runs(
-        "analysis",
+    mismatches = state_mismatches(
         source.values,
-        reference.values,
         source.memory,
+        reference.values,
         reference.memory,
         names,
-        mismatches,
+        prefix="[analysis] ",
+        pair=_PAIR,
     )
+    analysis_match = not mismatches
 
-    # Link 2: emitted code vs the final graph (existing machinery).
-    emitted = run_differential(schedule, iterations, cache=cache)
-    if not emitted.match:
-        mismatches.extend(f"[emitted] {m}" for m in emitted.mismatches)
-
-    # Link 3: emitted code vs the source, unless live-ins were renamed.
     hazards = live_in_hazards(schedule.graph)
     source_match: bool | None = None
-    if not hazards:
+    source_mismatches: list[str] = []
+    if hazards:
+        # Link 2 alone; link 3 is skipped on renamed live-ins.
+        emitted = run_differential(schedule, iterations, cache=cache)
+    else:
+        # One simulation of the emitted code serves links 2 and 3.
         simulator = VliwSimulator(schedule)
         run = simulator.run(iterations)
-        effective = run.result.iterations
-        moduli = live_in_moduli_of_code(simulator.code)
+        emitted = memoized_report(
+            schedule,
+            iterations,
+            cache,
+            lambda: compare_run(schedule, simulator.code, run),
+        )
+        # Link 3: the run restricted to the source's operations and
+        # arrays, against the source under the code's live-in moduli.
         source_run = SourceInterpreter(
-            lowered, live_in_moduli=moduli
-        ).run(effective)
+            lowered, live_in_moduli=live_in_moduli_of_code(simulator.code)
+        ).run(run.result.iterations)
         pristine = set(lowered.graph.node_ids())
         arrays = set(lowered.arrays.values())
-        sim_values = {
-            key: value
-            for key, value in run.values.items()
-            if key[0] in pristine
-        }
-        sim_memory = {
-            address: value
-            for address, value in run.memory.items()
-            if (address >> 24) in arrays
-        }
-        source_match = _compare_runs(
-            "source",
-            sim_values,
+        source_mismatches = state_mismatches(
+            {
+                key: value
+                for key, value in run.values.items()
+                if key[0] in pristine
+            },
+            {
+                address: value
+                for address, value in run.memory.items()
+                if (address >> 24) in arrays
+            },
             source_run.values,
-            sim_memory,
             source_run.memory,
             names,
-            mismatches,
+            prefix="[source] ",
+            pair=_PAIR,
         )
+        source_match = not source_mismatches
+    # Link 2: emitted code vs the final graph.
+    mismatches.extend(f"[emitted] {m}" for m in emitted.mismatches)
+    mismatches.extend(source_mismatches)
 
     return SourceDifferentialReport(
         kernel=lowered.name,

@@ -42,12 +42,15 @@ from repro.machine.resources import OpKind
 from repro.sim import ops
 from repro.sim.reference import ReferenceRun
 
-_OP_KINDS = {
-    "+": OpKind.ADD,
-    "-": OpKind.ADD,
-    "*": OpKind.MUL,
-    "/": OpKind.DIV,
+#: Binary operator -> its evaluator, resolved once.
+_BINARY = {
+    "+": ops.evaluator(OpKind.ADD),
+    "-": ops.evaluator(OpKind.ADD),
+    "*": ops.evaluator(OpKind.MUL),
+    "/": ops.evaluator(OpKind.DIV),
 }
+_SQRT = ops.evaluator(OpKind.SQRT)
+_STORE = ops.evaluator(OpKind.STORE)
 
 
 class SourceInterpreter:
@@ -136,13 +139,13 @@ class SourceInterpreter:
             if isinstance(expr, BinOp):
                 left = evaluate(expr.left, induction, iteration)
                 right = evaluate(expr.right, induction, iteration)
-                value = ops.evaluate(_OP_KINDS[expr.op], [left, right])
+                value = _BINARY[expr.op]([left, right])
                 assert expr.node_id is not None
                 values[(expr.node_id, iteration)] = value
                 return value
             if isinstance(expr, Call):
                 operand = evaluate(expr.arg, induction, iteration)
-                value = ops.evaluate(OpKind.SQRT, [operand])
+                value = _SQRT([operand])
                 assert expr.node_id is not None
                 values[(expr.node_id, iteration)] = value
                 return value
@@ -158,7 +161,7 @@ class SourceInterpreter:
                 if isinstance(target, Name):
                     env[target.name] = value
                 else:
-                    stored = ops.evaluate(OpKind.STORE, [value])
+                    stored = _STORE([value])
                     assert target.node_id is not None
                     values[(target.node_id, iteration)] = stored
                     memory[self._address(target, induction)] = stored

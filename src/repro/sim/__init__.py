@@ -15,9 +15,24 @@ about: the code emitted by :mod:`repro.codegen` actually *runs*.
   :mod:`repro.memsim.stall`);
 * :mod:`repro.sim.differential` — bit-for-bit comparison of the two
   executions: end-to-end validation of scheduler + cluster assignment +
-  spilling + register allocation + MVE + emitter;
+  spilling + register allocation + MVE + emitter.  Its
+  :func:`~repro.sim.differential.compare_run` checks an already
+  finished run, so a caller with one run (the source differential of
+  :mod:`repro.frontend`) compares it against several references;
 * :mod:`repro.sim.runner` — cached, optionally parallel batch
   simulation through :mod:`repro.exec`.
+
+Both executions run from *plans* built once per simulator or
+interpreter.  The simulator compiles every emitted instruction into a
+flat step — the register names it reads, its ``inv:`` operands resolved
+to values, a kind tag, node id, iteration shift, destination, the
+op's evaluator (:func:`repro.sim.ops.evaluator`), ``MemRef``, spill
+distance and any fixed invariant value — so the cycle loop reads only
+locals and tuples; per-section op counts are static.  The reference
+interpreter compiles one step per node in execution order (producers
+with distances, invariant values, evaluator, memory streams).  Neither
+plan changes a value: outputs are bit-for-bit those of the
+per-instruction loops, which the test suite keeps as oracles.
 
 Entry points: ``python -m repro simulate`` on the command line,
 :func:`run_differential` and :func:`simulate` from code.

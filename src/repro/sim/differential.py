@@ -17,7 +17,9 @@ operation and iteration where the dataflow first diverged.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 
+from repro.codegen.emitter import GeneratedCode
 from repro.core.result import ScheduleResult
 from repro.exec.cache import ResultCache, resolve_cache
 from repro.exec.hashing import simulation_cache_key, stable_hash
@@ -25,7 +27,7 @@ from repro.machine.technology import TechnologyModel
 from repro.memsim.cache import CacheConfig
 from repro.sim.reference import ReferenceInterpreter, live_in_moduli_of_code
 from repro.sim.result import SimulationResult
-from repro.sim.vliw import VliwSimulator
+from repro.sim.vliw import SimulationRun, VliwSimulator
 
 #: Mismatches reported per category before truncating (a broken emitter
 #: diverges everywhere; the first few sites are the diagnostic ones).
@@ -54,84 +56,70 @@ class DifferentialReport:
         return head + "\n  " + "\n  ".join(self.mismatches)
 
 
-def run_differential(
-    schedule: ScheduleResult,
-    iterations: int,
-    cache_config: CacheConfig | None = None,
-    technology: TechnologyModel | None = None,
-    cache: ResultCache | bool | None = None,
-) -> DifferentialReport:
-    """Execute both sides and compare their end states.
+def state_mismatches(
+    values: dict[tuple[int, int], int],
+    memory: dict[int, int],
+    expected_values: dict[tuple[int, int], int],
+    expected_memory: dict[int, int],
+    names: dict[int, str],
+    prefix: str = "",
+    pair: str = "code={} reference={}",
+) -> list[str]:
+    """Describe where two end states differ; empty when they agree.
 
-    The reference interpreter is run for the simulator's *effective*
-    trip count (the emitted kernel retires iterations in whole unrolled
-    passes, so the simulator may execute a few more than requested).
-
-    ``cache`` memoizes the finished report in the on-disk result cache
-    (see :func:`repro.exec.cache.resolve_cache` for the selector
-    semantics): both executions are deterministic, so a warm benchmark
-    or CI rerun skips them entirely.
+    Values and memory each report up to :data:`MAX_REPORTED` sites in
+    ascending (node, iteration) / address order, and one trailing line
+    counts the rest.  ``prefix`` starts every line and ``pair`` renders
+    the two disagreeing sides, so each differential link keeps its own
+    wording.
     """
-    store = resolve_cache(cache)
-    key = None
-    if store is not None:
-        key = stable_hash(
-            {
-                "kind": "differential",
-                "base": simulation_cache_key(
-                    schedule, iterations, cache_config, technology
-                ),
-            }
-        )
-        cached = store.get(key)
-        if isinstance(cached, DifferentialReport):
-            return cached
-    simulator = VliwSimulator(
-        schedule, cache_config=cache_config, technology=technology
-    )
-    run = simulator.run(iterations)
-    reference = ReferenceInterpreter(
-        schedule.graph,
-        live_in_moduli=live_in_moduli_of_code(simulator.code),
-    ).run(run.result.iterations)
 
-    mismatches: list[str] = []
+    def value_site(instance: tuple[int, int]) -> str:
+        node_id, iteration = instance
+        return f"value of {names.get(node_id, node_id)} @ iteration {iteration}"
+
+    lines: list[str] = []
     truncated = 0
-
-    node_names = {node.id: node.name for node in schedule.graph.nodes()}
-    for instance in sorted(set(run.values) | set(reference.values)):
-        simulated = run.values.get(instance)
-        expected = reference.values.get(instance)
-        if simulated == expected:
+    for actual, expected, site in (
+        (values, expected_values, value_site),
+        (memory, expected_memory, "memory[{:#x}]".format),
+    ):
+        if actual == expected:
             continue
-        if len(mismatches) < MAX_REPORTED:
-            node_id, iteration = instance
-            mismatches.append(
-                f"value of {node_names.get(node_id, node_id)} @ iteration "
-                f"{iteration}: code={simulated} reference={expected}"
-            )
-        else:
-            truncated += 1
-
-    memory_reported = 0
-    for address in sorted(set(run.memory) | set(reference.memory)):
-        simulated = run.memory.get(address)
-        expected = reference.memory.get(address)
-        if simulated == expected:
-            continue
-        if memory_reported < MAX_REPORTED:
-            mismatches.append(
-                f"memory[{address:#x}]: code={simulated} "
-                f"reference={expected}"
-            )
-            memory_reported += 1
-        else:
-            truncated += 1
-
+        reported = 0
+        for key in sorted(set(actual) | set(expected)):
+            got = actual.get(key)
+            want = expected.get(key)
+            if got == want:
+                continue
+            if reported < MAX_REPORTED:
+                lines.append(f"{prefix}{site(key)}: {pair.format(got, want)}")
+                reported += 1
+            else:
+                truncated += 1
     if truncated:
-        mismatches.append(f"... and {truncated} further mismatches")
+        lines.append(f"{prefix}... and {truncated} further mismatches")
+    return lines
 
-    report = DifferentialReport(
+
+def compare_run(
+    schedule: ScheduleResult, code: GeneratedCode, run: SimulationRun
+) -> DifferentialReport:
+    """Check a finished run of ``code`` against the reference.
+
+    The reference interpreter executes ``schedule.graph`` for the run's
+    *effective* trip count (the emitted kernel retires iterations in
+    whole unrolled passes, so the simulator may execute a few more than
+    requested), under the live-in register moduli of ``code``.
+    """
+    reference = ReferenceInterpreter(
+        schedule.graph, live_in_moduli=live_in_moduli_of_code(code)
+    ).run(run.result.iterations)
+    names = {node.id: node.name for node in schedule.graph.nodes()}
+    mismatches = state_mismatches(
+        run.values, run.memory, reference.values, reference.memory, names
+    )
+    return DifferentialReport(
         loop=schedule.loop,
         machine=schedule.machine.name,
         iterations=run.result.iterations,
@@ -139,6 +127,63 @@ def run_differential(
         mismatches=tuple(mismatches),
         simulation=run.result,
     )
-    if store is not None and key is not None:
-        store.put(key, report)
+
+
+def memoized_report(
+    schedule: ScheduleResult,
+    iterations: int,
+    cache: ResultCache | bool | None,
+    compute: Callable[[], DifferentialReport],
+    cache_config: CacheConfig | None = None,
+    technology: TechnologyModel | None = None,
+) -> DifferentialReport:
+    """``compute()``'s report, through the on-disk result cache.
+
+    Keyed like :func:`run_differential` on the same arguments, so a
+    report computed from a shared run is the one a later
+    :func:`run_differential` call is served, and vice versa.
+    """
+    store = resolve_cache(cache)
+    if store is None:
+        return compute()
+    key = stable_hash(
+        {
+            "kind": "differential",
+            "base": simulation_cache_key(
+                schedule, iterations, cache_config, technology
+            ),
+        }
+    )
+    cached = store.get(key)
+    if isinstance(cached, DifferentialReport):
+        return cached
+    report = compute()
+    store.put(key, report)
     return report
+
+
+def run_differential(
+    schedule: ScheduleResult,
+    iterations: int,
+    cache_config: CacheConfig | None = None,
+    technology: TechnologyModel | None = None,
+    cache: ResultCache | bool | None = None,
+) -> DifferentialReport:
+    """Execute both sides and compare their end states (see
+    :func:`compare_run`).
+
+    ``cache`` memoizes the finished report in the on-disk result cache
+    (see :func:`repro.exec.cache.resolve_cache` for the selector
+    semantics): both executions are deterministic, so a warm benchmark
+    or CI rerun skips them entirely.
+    """
+
+    def execute() -> DifferentialReport:
+        simulator = VliwSimulator(
+            schedule, cache_config=cache_config, technology=technology
+        )
+        return compare_run(schedule, simulator.code, simulator.run(iterations))
+
+    return memoized_report(
+        schedule, iterations, cache, execute, cache_config, technology
+    )

@@ -12,9 +12,12 @@ is given an exact integer semantics over the field GF(P) with
 * ``div``/``sqrt``/multi-operand ``load``/``store`` fold their operands
   through a salted polynomial hash — deterministic, collision-poor and
   cheap;
-* operand *order* is erased by sorting operand values first: the
-  dependence graph gives operations a multiset of operands, not a
-  sequence, and the emitter stores sources as a sorted tuple.
+* operand *order* is erased — sums, products and minima ignore it and
+  the hashed kinds sort their operands before folding: the dependence
+  graph gives operations a multiset of operands, not a sequence, and
+  the emitter stores sources as a sorted tuple.  :func:`evaluator`
+  resolves a kind's semantics once, so hot loops call a plain function
+  of the operands.
 
 Live-in values (loop-carried dependences reaching before iteration 0),
 loop invariants and untouched memory are likewise pure functions of
@@ -26,7 +29,7 @@ spill slot, reordered aliasing store) visible as a value mismatch.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.machine.resources import OpKind
 
@@ -51,6 +54,9 @@ _LIVE_IN_SALT = 0x8F1B_BCDC
 _INVARIANT_SALT = 0x9B05_688C
 _MEMORY_SALT = 0xA54F_F53A
 
+#: Operand values -> produced value (see :func:`evaluator`).
+Evaluator = Callable[[Sequence[int]], int]
+
 
 def fold(salt: int, values: Iterable[int]) -> int:
     """Salted polynomial hash of a value sequence over GF(P)."""
@@ -60,30 +66,65 @@ def fold(salt: int, values: Iterable[int]) -> int:
     return h
 
 
-def evaluate(kind: OpKind, operands: list[int]) -> int:
-    """The value produced by an operation from its operand values.
+def _bind(kind: OpKind) -> Evaluator:
+    """Resolve one kind's salt and semantics into a value function."""
+    salt = _SALTS[kind]
+    if kind is OpKind.ADD:
+        def add(operands: Sequence[int]) -> int:
+            return (salt + sum(operands)) % FIELD_PRIME
 
-    ``operands`` is treated as a multiset (sorted internally); stores
+        return add
+    if kind is OpKind.MUL:
+        def mul(operands: Sequence[int]) -> int:
+            product = salt
+            for value in operands:
+                product = (product * (value % FIELD_PRIME + 1)) % FIELD_PRIME
+            return product
+
+        return mul
+    if kind is OpKind.MOVE:
+        def move(operands: Sequence[int]) -> int:
+            if operands:
+                return min(operands) % FIELD_PRIME
+            return fold(salt, ())
+
+        return move
+    if kind is OpKind.STORE:
+        def store(operands: Sequence[int]) -> int:
+            # The common single-operand store writes the operand
+            # verbatim, which keeps memory dumps legible when debugging
+            # mismatches.
+            if len(operands) == 1:
+                return operands[0] % FIELD_PRIME
+            return fold(salt, sorted(operands))
+
+        return store
+
+    def hashed(operands: Sequence[int]) -> int:
+        return fold(salt, sorted(operands))
+
+    return hashed
+
+
+_EVALUATORS = {kind: _bind(kind) for kind in _SALTS}
+
+
+def evaluator(kind: OpKind) -> Evaluator:
+    """The value function of one operation kind, resolved once.
+
+    The returned function maps operand values to the produced value and
+    treats them as a multiset: sums, products and minima are
+    order-free, and the hashed kinds sort before folding.  Stores
     "produce" the value they write to memory.  Plain loads do not go
     through here — their value is the memory word — but loads with
     register operands combine them via :func:`load_value`.
     """
-    values = sorted(operands)
-    salt = _SALTS[kind]
-    if kind is OpKind.MOVE and values:
-        return values[0] % FIELD_PRIME
-    if kind is OpKind.ADD:
-        return (salt + sum(values)) % FIELD_PRIME
-    if kind is OpKind.MUL:
-        product = salt
-        for value in values:
-            product = (product * (value % FIELD_PRIME + 1)) % FIELD_PRIME
-        return product
-    if kind is OpKind.STORE and len(values) == 1:
-        # The common single-operand store writes the operand verbatim,
-        # which keeps memory dumps legible when debugging mismatches.
-        return values[0] % FIELD_PRIME
-    return fold(salt, values)
+    return _EVALUATORS[kind]
+
+
+def evaluate(kind: OpKind, operands: Sequence[int]) -> int:
+    """The value produced by an operation from its operand values."""
+    return evaluator(kind)(operands)
 
 
 def load_value(memory_word: int, operands: list[int]) -> int:

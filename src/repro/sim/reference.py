@@ -30,7 +30,7 @@ import dataclasses
 import heapq
 
 from repro.errors import GraphError
-from repro.graph.ddg import DepKind, DependenceGraph
+from repro.graph.ddg import DepKind, DependenceGraph, Node
 from repro.machine.resources import OpKind
 from repro.sim import ops
 
@@ -118,26 +118,44 @@ class ReferenceInterpreter:
                 node_id: live_in_moduli for node_id in graph.node_ids()
             }
         self.live_in_moduli = live_in_moduli
-        self._order = intra_iteration_order(graph)
-        # Pre-resolved operand plan per node: REG producers with their
-        # distances, invariant values, and spill-load slot distances.
-        self._reg_in: dict[int, list[tuple[int, int]]] = {}
-        self._invariant_operands: dict[int, list[int]] = {}
-        self._spill_distance: dict[int, int] = {}
-        for node in graph.nodes():
-            self._reg_in[node.id] = [
-                (edge.src, edge.distance)
-                for edge in graph.in_edges(node.id)
-                if edge.kind is DepKind.REG
-            ]
-            self._invariant_operands[node.id] = [
-                ops.invariant_value(inv.id)
-                for inv in graph.invariants_of(node.id)
-            ]
-            if node.kind is OpKind.LOAD and node.is_spill:
-                self._spill_distance[node.id] = spill_load_distance(
-                    graph, node.id
-                )
+        # One step per node, in execution order: (node id, REG producers
+        # with their distances, invariant operand values, evaluator,
+        # load MemRef, spill-slot distance, fixed value, store MemRef).
+        self._plan = tuple(
+            self._step(graph.node(node_id))
+            for node_id in intra_iteration_order(graph)
+        )
+
+    def _step(self, node: Node) -> tuple:
+        """One node's step of the plan (see :meth:`__init__`)."""
+        graph = self.graph
+        reg_in = tuple(
+            (edge.src, edge.distance)
+            for edge in graph.in_edges(node.id)
+            if edge.kind is DepKind.REG
+        )
+        constants = tuple(
+            ops.invariant_value(inv.id) for inv in graph.invariants_of(node.id)
+        )
+        func = load_ref = store_ref = fixed = None
+        distance = 0
+        if node.kind is OpKind.LOAD:
+            if node.load_of_invariant is not None:
+                fixed = ops.invariant_value(node.load_of_invariant)
+            else:
+                load_ref = node.mem_ref
+                if node.is_spill:
+                    distance = spill_load_distance(graph, node.id)
+        elif node.kind is OpKind.MOVE and node.move_of_invariant is not None:
+            fixed = ops.invariant_value(node.move_of_invariant)
+        else:
+            func = ops.evaluator(node.kind)
+            if node.kind is OpKind.STORE:
+                store_ref = node.mem_ref
+        return (
+            node.id, reg_in, constants, func, load_ref, distance, fixed,
+            store_ref,
+        )
 
     # ------------------------------------------------------------------
 
@@ -149,48 +167,42 @@ class ReferenceInterpreter:
         memory: dict[int, int] = {}
 
         moduli = self.live_in_moduli
+        load_value = ops.load_value
+        initial_memory = ops.initial_memory
 
-        def value_of(node_id: int, iteration: int) -> int:
-            if iteration >= 0:
-                return values[(node_id, iteration)]
+        def live_in(node_id: int, iteration: int) -> int:
             if moduli is not None:
                 modulus = moduli.get(node_id, 1)
                 iteration = iteration % modulus - modulus
             return ops.initial_value(node_id, iteration)
 
         for iteration in range(iterations):
-            for node_id in self._order:
-                node = self.graph.node(node_id)
-                operands = [
-                    value_of(src, iteration - distance)
-                    for src, distance in self._reg_in[node_id]
-                ]
-                operands += self._invariant_operands[node_id]
-
-                if node.kind is OpKind.LOAD:
-                    if node.load_of_invariant is not None:
-                        value = ops.invariant_value(node.load_of_invariant)
-                    elif node.mem_ref is None:
-                        # No access pattern: a register-like scratch
-                        # location (mirrors repro.memsim.trace).
-                        value = ops.load_value(0, operands)
+            for (node_id, reg_in, constants, func, load_ref, distance, fixed,
+                 store_ref) in self._plan:
+                if fixed is not None:
+                    values[(node_id, iteration)] = fixed
+                    continue
+                operands = list(constants)
+                for src, d in reg_in:
+                    if d <= iteration:
+                        operands.append(values[(src, iteration - d)])
                     else:
-                        slot = iteration - self._spill_distance.get(node_id, 0)
-                        address = node.mem_ref.address(slot)
-                        word = memory.get(address)
-                        if word is None:
-                            word = ops.initial_memory(address)
-                        value = ops.load_value(word, operands)
-                elif node.kind is OpKind.MOVE and (
-                    node.move_of_invariant is not None
-                ):
-                    value = ops.invariant_value(node.move_of_invariant)
+                        operands.append(live_in(src, iteration - d))
+                if func is not None:
+                    value = func(operands)
+                    if store_ref is not None:
+                        memory[store_ref.address(iteration)] = value
+                elif load_ref is None:
+                    # No access pattern: a register-like scratch
+                    # location (mirrors repro.memsim.trace).
+                    value = load_value(0, operands)
                 else:
-                    value = ops.evaluate(node.kind, operands)
-
+                    address = load_ref.address(iteration - distance)
+                    word = memory.get(address)
+                    if word is None:
+                        word = initial_memory(address)
+                    value = load_value(word, operands)
                 values[(node_id, iteration)] = value
-                if node.kind is OpKind.STORE and node.mem_ref is not None:
-                    memory[node.mem_ref.address(iteration)] = value
 
         return ReferenceRun(
             loop=self.graph.name,

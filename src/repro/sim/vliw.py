@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.codegen.emitter import GeneratedCode, generate_code
+from repro.codegen.emitter import GeneratedCode, Instruction, generate_code
 from repro.core.result import ScheduleResult
 from repro.errors import SimulationError
+from repro.graph.ddg import Node
 from repro.machine.resources import OpKind
 from repro.machine.technology import TechnologyModel
 from repro.memsim.cache import CacheConfig, LockupFreeCache
@@ -43,6 +44,19 @@ from repro.sim.reference import spill_load_distance
 from repro.sim.result import SimulationResult, state_digest
 
 _INVARIANT_PREFIX = "inv:"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Section:
+    """The compiled plan of one code section (prologue, kernel or
+    epilogue): per bundle, ``(read names, reads, steps)`` (see
+    :meth:`VliwSimulator._compile`); plus its op counts."""
+
+    plan: tuple[tuple[tuple, tuple, tuple], ...]
+    loads: int
+    stores: int
+    moves: int
+    instructions: int
 
 
 @dataclasses.dataclass
@@ -79,14 +93,36 @@ def effective_iterations(code: GeneratedCode, iterations: int) -> int:
     return fill + passes * code.mve_factor
 
 
+#: Step tags of the compiled plan (see :meth:`VliwSimulator._compile`).
+_COMPUTE = 0  # value = evaluator(operands); moves included
+_LOAD = 1
+_STORE = 2
+_FIXED = 3  # a move re-materializing an invariant
+
+
 class VliwSimulator:
     """Executes one scheduled loop's emitted code (see module docstring).
+
+    The emitted instructions are compiled once, at construction, into a
+    flat plan per bundle: the register names each instruction reads,
+    its ``inv:`` operands already resolved to values, and one *step*
+    tuple carrying what the cycle loop needs to execute it — the kind
+    tag, node id, iteration shift (``cycle // II - stage``), destination
+    register, evaluator, :class:`~repro.graph.ddg.MemRef`, spill-slot
+    distance, fixed invariant value and address, and whether a load
+    miss delays its destination.  Only the instructions and per-node op
+    semantics feed the plan; graph edges never do, beyond the spill
+    distance a spill load's slot addressing needs.
 
     Args:
         schedule: a converged :class:`ScheduleResult` (with its graph).
         code: pre-generated code; emitted from ``schedule`` when omitted.
         cache_config: cache geometry (paper defaults when omitted).
         technology: technology model supplying the miss latency.
+
+    Raises:
+        SimulationError: an instruction reads an ``inv:`` operand the
+            graph does not declare.
     """
 
     def __init__(
@@ -106,13 +142,106 @@ class VliwSimulator:
             f"{_INVARIANT_PREFIX}{inv.name}": ops.invariant_value(inv.id)
             for inv in graph.invariants()
         }
-        self._spill_distance = {
-            node.id: spill_load_distance(graph, node.id)
-            for node in graph.nodes()
-            if node.kind is OpKind.LOAD and node.is_spill
+        self._node_steps = {
+            node.id: self._node_step(node) for node in graph.nodes()
         }
+        self._splits: dict[tuple[str, ...], tuple[tuple, tuple]] = {}
+        code = self.code
+        self._prologue = self._compile(code.prologue)
+        self._kernel = self._compile(code.kernel)
+        self._epilogue = self._compile(code.epilogue)
 
     # ------------------------------------------------------------------
+
+    def _node_step(self, node: Node) -> tuple:
+        """The part of a step shared by every instance of one node:
+        ``(tag, evaluator, mem_ref, spill distance, fixed value, fixed
+        address, whether a miss delays the destination)``."""
+        kind = node.kind
+        func = None
+        fixed = address = None
+        distance = 0
+        if kind is OpKind.LOAD:
+            tag = _LOAD
+            if node.is_spill:
+                distance = spill_load_distance(self.schedule.graph, node.id)
+            if node.load_of_invariant is not None:
+                fixed = ops.invariant_value(node.load_of_invariant)
+                if node.mem_ref is not None:
+                    address = node.mem_ref.address(0)
+        elif kind is OpKind.STORE:
+            tag = _STORE
+            func = ops.evaluator(kind)
+        elif kind is OpKind.MOVE and node.move_of_invariant is not None:
+            tag = _FIXED
+            fixed = ops.invariant_value(node.move_of_invariant)
+        else:
+            tag = _COMPUTE
+            func = ops.evaluator(kind)
+        return (
+            tag,
+            func,
+            node.mem_ref,
+            distance,
+            fixed,
+            address,
+            node.latency_override is None,
+        )
+
+    def _split_sources(self, sources: tuple[str, ...]) -> tuple[tuple, tuple]:
+        """(register names, resolved invariant values) of one source list."""
+        split = self._splits.get(sources)
+        if split is None:
+            names = []
+            constants = []
+            for name in sources:
+                if not name.startswith(_INVARIANT_PREFIX):
+                    names.append(name)
+                    continue
+                try:
+                    constants.append(self._invariants[name])
+                except KeyError:
+                    raise SimulationError(
+                        f"unknown invariant operand {name!r}"
+                    ) from None
+            split = self._splits[sources] = (tuple(names), tuple(constants))
+        return split
+
+    def _compile(self, bundles: list[list[Instruction]]) -> _Section:
+        """The plan of one code section, with its static op counts.
+
+        Per bundle: every register name it reads, the ``(node, register
+        names, invariant values)`` of each instruction, and its steps —
+        the node's shared step plus ``(node, iteration shift, dest)``.
+        """
+        ii = self.code.ii
+        node_steps = self._node_steps
+        split = self._split_sources
+        plan = []
+        for cycle, bundle in enumerate(bundles):
+            block = cycle // ii
+            reads = tuple(
+                (inst.node, *split(inst.sources)) for inst in bundle
+            )
+            steps = tuple(
+                node_steps[inst.node]
+                + (inst.node, block - inst.stage, inst.dest)
+                for inst in bundle
+            )
+            read_names = tuple(
+                {name: None for _, names, _ in reads for name in names}
+            )
+            plan.append((read_names, reads, steps))
+        kinds = [
+            self._nodes[inst.node].kind for bundle in bundles for inst in bundle
+        ]
+        return _Section(
+            plan=tuple(plan),
+            instructions=len(kinds),
+            loads=kinds.count(OpKind.LOAD),
+            stores=kinds.count(OpKind.STORE),
+            moves=kinds.count(OpKind.MOVE),
+        )
 
     def _initial_registers(self) -> dict[str, int]:
         """Live-in register contents.
@@ -131,147 +260,135 @@ class VliwSimulator:
                 registers[name] = ops.initial_value(value, copy - mve)
         return registers
 
-    def _bundles(self, passes: int):
-        """Yield ``(cycle block, bundle)`` over the whole execution."""
-        code = self.code
-        ii = code.ii
-        fill = code.stage_count - 1
-        for cycle, bundle in enumerate(code.prologue):
-            yield cycle // ii, bundle
-        for kernel_pass in range(passes):
-            base = fill + kernel_pass * code.mve_factor
-            for cycle, bundle in enumerate(code.kernel):
-                yield base + cycle // ii, bundle
-        base = fill + passes * code.mve_factor
-        for cycle, bundle in enumerate(code.epilogue):
-            yield base + cycle // ii, bundle
-
     # ------------------------------------------------------------------
 
     def run(self, iterations: int) -> SimulationRun:
-        """Execute the pipeline end to end for (at least) ``iterations``."""
+        """Execute the pipeline end to end for (at least) ``iterations``.
+
+        Raises:
+            SimulationError: an instruction reads a register nothing
+                has defined.
+        """
         code = self.code
         mve = code.mve_factor
         n_iterations = effective_iterations(code, iterations)
-        passes = (n_iterations - (code.stage_count - 1)) // mve
+        fill = code.stage_count - 1
+        passes = (n_iterations - fill) // mve
+        # Cycle block at which each section execution starts: the
+        # prologue, every pass over the unrolled kernel, the epilogue.
+        timeline = [(0, self._prologue)]
+        timeline += [
+            (fill + kernel_pass * mve, self._kernel)
+            for kernel_pass in range(passes)
+        ]
+        timeline.append((fill + passes * mve, self._epilogue))
 
         registers = self._initial_registers()
+        read = registers.__getitem__
         values: dict[tuple[int, int], int] = {}
         memory: dict[int, int] = {}
         cache = LockupFreeCache(self.cache_config)
+        access = cache.access
         miss_latency = self.technology.miss_latency_cycles(
             self.schedule.machine
         )
         mshrs = self.cache_config.mshrs
+        load_value = ops.load_value
+        initial_memory = ops.initial_memory
 
         clock = 0  # elapsed cycles, stalls included
-        useful = 0
         stalls = 0
-        instructions = 0
-        loads = stores = moves = 0
         data_ready: dict[str, int] = {}  # load dest -> data-ready cycle
         pending: list[int] = []  # outstanding miss completion cycles
 
-        for block, bundle in self._bundles(passes):
-            # Issue-time operand fetch: every source is read before any
-            # write of this bundle lands, and the bundle as a whole
-            # waits for the slowest outstanding operand.
-            operand_values: list[list[int]] = []
-            ready = clock
-            for inst in bundle:
-                sources = []
-                for name in inst.sources:
-                    if name.startswith(_INVARIANT_PREFIX):
-                        try:
-                            sources.append(self._invariants[name])
-                        except KeyError:
-                            raise SimulationError(
-                                f"unknown invariant operand {name!r}"
-                            ) from None
-                    else:
-                        try:
-                            sources.append(registers[name])
-                        except KeyError:
-                            raise SimulationError(
-                                f"instruction for node {inst.node} reads "
-                                f"register {name!r} which nothing defines"
-                            ) from None
-                        ready = max(ready, data_ready.get(name, 0))
-                operand_values.append(sources)
-            if ready > clock:
-                stalls += ready - clock
-                clock = ready
+        for base, section in timeline:
+            for read_names, reads, steps in section.plan:
+                # Issue-time operand fetch: every source is read before
+                # any write of this bundle lands, and the bundle as a
+                # whole waits for the slowest outstanding operand.
+                try:
+                    fetched = [
+                        [*map(read, names), *constants]
+                        for _, names, constants in reads
+                    ]
+                except KeyError:
+                    node_id, name = next(
+                        (node_id, name)
+                        for node_id, names, _ in reads
+                        for name in names
+                        if name not in registers
+                    )
+                    raise SimulationError(
+                        f"instruction for node {node_id} reads "
+                        f"register {name!r} which nothing defines"
+                    ) from None
+                if data_ready:
+                    ready = clock
+                    for name in read_names:
+                        at = data_ready.get(name, 0)
+                        if at > ready:
+                            ready = at
+                    if ready > clock:
+                        stalls += ready - clock
+                        clock = ready
 
-            writes: list[tuple[str, int, int]] = []
-            for inst, operands in zip(bundle, operand_values, strict=True):
-                node = self._nodes[inst.node]
-                iteration = block - inst.stage
-                ready_at = 0  # 0 = data ready at issue
-
-                if node.kind is OpKind.LOAD:
-                    loads += 1
-                    if node.load_of_invariant is not None:
-                        value = ops.invariant_value(node.load_of_invariant)
-                        address = (
-                            node.mem_ref.address(0) if node.mem_ref else None
-                        )
-                    elif node.mem_ref is None:
-                        value = ops.load_value(0, operands)
-                        address = None
-                    else:
-                        slot = iteration - self._spill_distance.get(
-                            inst.node, 0
-                        )
-                        address = node.mem_ref.address(slot)
-                        word = memory.get(address)
-                        if word is None:
-                            word = ops.initial_memory(address)
-                        value = ops.load_value(word, operands)
-                    if address is not None and not cache.access(address):
-                        # MSHR pressure: with every miss register busy
-                        # the pipeline blocks until one retires.
-                        pending = [t for t in pending if t > clock]
-                        if len(pending) >= mshrs:
-                            wait = min(pending)
-                            stalls += wait - clock
-                            clock = wait
+                # Nothing below reads a register, so each write can land
+                # as its instruction executes.
+                for step, operands in zip(steps, fetched, strict=True):
+                    (tag, func, mem_ref, distance, fixed, fixed_address,
+                     delays, node_id, shift, dest) = step
+                    iteration = base + shift
+                    ready_at = 0  # 0 = data ready at issue
+                    if tag == _COMPUTE:
+                        value = func(operands)
+                    elif tag == _LOAD:
+                        if fixed is not None:
+                            value = fixed
+                            address = fixed_address
+                        elif mem_ref is None:
+                            value = load_value(0, operands)
+                            address = None
+                        else:
+                            address = mem_ref.address(iteration - distance)
+                            word = memory.get(address)
+                            if word is None:
+                                word = initial_memory(address)
+                            value = load_value(word, operands)
+                        if address is not None and not access(address):
+                            # MSHR pressure: with every miss register
+                            # busy the pipeline blocks until one retires.
                             pending = [t for t in pending if t > clock]
-                        if node.latency_override is None:
-                            ready_at = clock + miss_latency
-                        pending.append(clock + miss_latency)
-                elif node.kind is OpKind.STORE:
-                    stores += 1
-                    value = ops.evaluate(node.kind, operands)
-                    if node.mem_ref is not None:
-                        address = node.mem_ref.address(iteration)
-                        memory[address] = value
-                        # Write misses allocate but never block: stores
-                        # retire through the write buffer.
-                        cache.access(address, is_write=True)
-                elif node.kind is OpKind.MOVE and (
-                    node.move_of_invariant is not None
-                ):
-                    moves += 1
-                    value = ops.invariant_value(node.move_of_invariant)
-                else:
-                    if node.kind is OpKind.MOVE:
-                        moves += 1
-                    value = ops.evaluate(node.kind, operands)
+                            if len(pending) >= mshrs:
+                                wait = min(pending)
+                                stalls += wait - clock
+                                clock = wait
+                                pending = [t for t in pending if t > clock]
+                            if delays:
+                                ready_at = clock + miss_latency
+                            pending.append(clock + miss_latency)
+                    elif tag == _STORE:
+                        value = func(operands)
+                        if mem_ref is not None:
+                            address = mem_ref.address(iteration)
+                            memory[address] = value
+                            # Write misses allocate but never block:
+                            # stores retire through the write buffer.
+                            access(address, True)
+                    else:
+                        value = fixed
 
-                values[(inst.node, iteration)] = value
-                if inst.dest is not None:
-                    writes.append((inst.dest, value, ready_at))
-                instructions += 1
+                    values[(node_id, iteration)] = value
+                    if dest is not None:
+                        registers[dest] = value
+                        if ready_at:
+                            data_ready[dest] = ready_at
+                        elif data_ready:
+                            data_ready.pop(dest, None)
+                clock += 1
 
-            for dest, value, ready_at in writes:
-                registers[dest] = value
-                if ready_at:
-                    data_ready[dest] = ready_at
-                else:
-                    data_ready.pop(dest, None)
-
-            useful += 1
-            clock += 1
+        def total(field: str) -> int:
+            """A static op count over every executed section."""
+            return sum(getattr(section, field) for _, section in timeline)
 
         graph = self.schedule.graph
         # Surplus source iterations become observable only when the run
@@ -294,12 +411,12 @@ class VliwSimulator:
             iterations=n_iterations,
             unroll_factor=1 if graph is None else graph.unroll_factor,
             surplus_iterations=surplus,
-            useful_cycles=useful,
+            useful_cycles=clock - stalls,  # one per issued bundle
             stall_cycles=stalls,
-            instructions=instructions,
-            loads=loads,
-            stores=stores,
-            moves=moves,
+            instructions=total("instructions"),
+            loads=total("loads"),
+            stores=total("stores"),
+            moves=total("moves"),
             cache_hits=cache.hits,
             cache_misses=cache.misses,
             state_digest=state_digest(values, memory),

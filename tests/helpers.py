@@ -10,6 +10,15 @@ import signal
 from hypothesis import strategies as st
 
 from repro import DependenceGraph, DepKind, LoopBuilder, MemRef, OpKind, parse_config
+from repro.codegen import GeneratedCode, generate_code
+from repro.core.result import ScheduleResult
+from repro.errors import SimulationError
+from repro.machine.technology import TechnologyModel
+from repro.memsim.cache import CacheConfig, LockupFreeCache
+from repro.sim import ops
+from repro.sim.reference import ReferenceRun, intra_iteration_order, spill_load_distance
+from repro.sim.result import SimulationResult, state_digest
+from repro.sim.vliw import SimulationRun, effective_iterations
 
 UNIFIED = parse_config("1-(GP8M4-REG64)")
 UNIFIED_SMALL = parse_config("1-(GP8M4-REG16)")
@@ -408,3 +417,380 @@ def elementary_circuits(graph: DependenceGraph) -> list[list[int]]:
     for root in graph.node_ids():
         extend([root])
     return circuits
+
+
+# ----------------------------------------------------------------------
+# Simulation oracles: the per-instruction simulator loop, the per-node
+# reference loop and the sorting ``evaluate`` that the compiled plans of
+# repro.sim replaced, kept verbatim (apart from the class names and the
+# evaluate call) so every plan can be checked against them.
+# ----------------------------------------------------------------------
+
+_INVARIANT_PREFIX = "inv:"
+
+
+def legacy_evaluate(kind: OpKind, operands: list[int]) -> int:
+    """The value produced by an operation from its operand values.
+
+    ``operands`` is treated as a multiset (sorted internally); stores
+    "produce" the value they write to memory.  Plain loads do not go
+    through here — their value is the memory word — but loads with
+    register operands combine them via :func:`load_value`.
+    """
+    values = sorted(operands)
+    salt = ops._SALTS[kind]
+    if kind is OpKind.MOVE and values:
+        return values[0] % ops.FIELD_PRIME
+    if kind is OpKind.ADD:
+        return (salt + sum(values)) % ops.FIELD_PRIME
+    if kind is OpKind.MUL:
+        product = salt
+        for value in values:
+            product = (product * (value % ops.FIELD_PRIME + 1)) % ops.FIELD_PRIME
+        return product
+    if kind is OpKind.STORE and len(values) == 1:
+        # The common single-operand store writes the operand verbatim,
+        # which keeps memory dumps legible when debugging mismatches.
+        return values[0] % ops.FIELD_PRIME
+    return ops.fold(salt, values)
+
+
+class LegacyVliwSimulator:
+    """Executes one scheduled loop's emitted code (see module docstring).
+
+    Args:
+        schedule: a converged :class:`ScheduleResult` (with its graph).
+        code: pre-generated code; emitted from ``schedule`` when omitted.
+        cache_config: cache geometry (paper defaults when omitted).
+        technology: technology model supplying the miss latency.
+    """
+
+    def __init__(
+        self,
+        schedule: ScheduleResult,
+        code: GeneratedCode | None = None,
+        cache_config: CacheConfig | None = None,
+        technology: TechnologyModel | None = None,
+    ):
+        self.schedule = schedule
+        self.code = code or generate_code(schedule)
+        self.cache_config = cache_config or CacheConfig()
+        self.technology = technology or TechnologyModel()
+        graph = schedule.graph
+        self._nodes = {node.id: node for node in graph.nodes()}
+        self._invariants = {
+            f"{_INVARIANT_PREFIX}{inv.name}": ops.invariant_value(inv.id)
+            for inv in graph.invariants()
+        }
+        self._spill_distance = {
+            node.id: spill_load_distance(graph, node.id)
+            for node in graph.nodes()
+            if node.kind is OpKind.LOAD and node.is_spill
+        }
+
+    # ------------------------------------------------------------------
+
+    def _initial_registers(self) -> dict[str, int]:
+        """Live-in register contents.
+
+        Iteration ``c - K`` (the last pre-loop iteration congruent to
+        copy ``c``) owns register copy ``c``, so a loop-carried consumer
+        at iteration ``i`` reading distance ``d > i`` finds
+        ``initial_value(v, i - d)`` in the copy the emitter points it
+        at.  Non-expanded values alias all copies onto one name and the
+        ascending write order leaves ``initial_value(v, -1)`` there.
+        """
+        mve = self.code.mve_factor
+        registers: dict[str, int] = {}
+        for value, names in self.code.registers.items():
+            for copy, name in enumerate(names):
+                registers[name] = ops.initial_value(value, copy - mve)
+        return registers
+
+    def _bundles(self, passes: int):
+        """Yield ``(cycle block, bundle)`` over the whole execution."""
+        code = self.code
+        ii = code.ii
+        fill = code.stage_count - 1
+        for cycle, bundle in enumerate(code.prologue):
+            yield cycle // ii, bundle
+        for kernel_pass in range(passes):
+            base = fill + kernel_pass * code.mve_factor
+            for cycle, bundle in enumerate(code.kernel):
+                yield base + cycle // ii, bundle
+        base = fill + passes * code.mve_factor
+        for cycle, bundle in enumerate(code.epilogue):
+            yield base + cycle // ii, bundle
+
+    # ------------------------------------------------------------------
+
+    def run(self, iterations: int) -> SimulationRun:
+        """Execute the pipeline end to end for (at least) ``iterations``."""
+        code = self.code
+        mve = code.mve_factor
+        n_iterations = effective_iterations(code, iterations)
+        passes = (n_iterations - (code.stage_count - 1)) // mve
+
+        registers = self._initial_registers()
+        values: dict[tuple[int, int], int] = {}
+        memory: dict[int, int] = {}
+        cache = LockupFreeCache(self.cache_config)
+        miss_latency = self.technology.miss_latency_cycles(
+            self.schedule.machine
+        )
+        mshrs = self.cache_config.mshrs
+
+        clock = 0  # elapsed cycles, stalls included
+        useful = 0
+        stalls = 0
+        instructions = 0
+        loads = stores = moves = 0
+        data_ready: dict[str, int] = {}  # load dest -> data-ready cycle
+        pending: list[int] = []  # outstanding miss completion cycles
+
+        for block, bundle in self._bundles(passes):
+            # Issue-time operand fetch: every source is read before any
+            # write of this bundle lands, and the bundle as a whole
+            # waits for the slowest outstanding operand.
+            operand_values: list[list[int]] = []
+            ready = clock
+            for inst in bundle:
+                sources = []
+                for name in inst.sources:
+                    if name.startswith(_INVARIANT_PREFIX):
+                        try:
+                            sources.append(self._invariants[name])
+                        except KeyError:
+                            raise SimulationError(
+                                f"unknown invariant operand {name!r}"
+                            ) from None
+                    else:
+                        try:
+                            sources.append(registers[name])
+                        except KeyError:
+                            raise SimulationError(
+                                f"instruction for node {inst.node} reads "
+                                f"register {name!r} which nothing defines"
+                            ) from None
+                        ready = max(ready, data_ready.get(name, 0))
+                operand_values.append(sources)
+            if ready > clock:
+                stalls += ready - clock
+                clock = ready
+
+            writes: list[tuple[str, int, int]] = []
+            for inst, operands in zip(bundle, operand_values, strict=True):
+                node = self._nodes[inst.node]
+                iteration = block - inst.stage
+                ready_at = 0  # 0 = data ready at issue
+
+                if node.kind is OpKind.LOAD:
+                    loads += 1
+                    if node.load_of_invariant is not None:
+                        value = ops.invariant_value(node.load_of_invariant)
+                        address = (
+                            node.mem_ref.address(0) if node.mem_ref else None
+                        )
+                    elif node.mem_ref is None:
+                        value = ops.load_value(0, operands)
+                        address = None
+                    else:
+                        slot = iteration - self._spill_distance.get(
+                            inst.node, 0
+                        )
+                        address = node.mem_ref.address(slot)
+                        word = memory.get(address)
+                        if word is None:
+                            word = ops.initial_memory(address)
+                        value = ops.load_value(word, operands)
+                    if address is not None and not cache.access(address):
+                        # MSHR pressure: with every miss register busy
+                        # the pipeline blocks until one retires.
+                        pending = [t for t in pending if t > clock]
+                        if len(pending) >= mshrs:
+                            wait = min(pending)
+                            stalls += wait - clock
+                            clock = wait
+                            pending = [t for t in pending if t > clock]
+                        if node.latency_override is None:
+                            ready_at = clock + miss_latency
+                        pending.append(clock + miss_latency)
+                elif node.kind is OpKind.STORE:
+                    stores += 1
+                    value = legacy_evaluate(node.kind, operands)
+                    if node.mem_ref is not None:
+                        address = node.mem_ref.address(iteration)
+                        memory[address] = value
+                        # Write misses allocate but never block: stores
+                        # retire through the write buffer.
+                        cache.access(address, is_write=True)
+                elif node.kind is OpKind.MOVE and (
+                    node.move_of_invariant is not None
+                ):
+                    moves += 1
+                    value = ops.invariant_value(node.move_of_invariant)
+                else:
+                    if node.kind is OpKind.MOVE:
+                        moves += 1
+                    value = legacy_evaluate(node.kind, operands)
+
+                values[(inst.node, iteration)] = value
+                if inst.dest is not None:
+                    writes.append((inst.dest, value, ready_at))
+                instructions += 1
+
+            for dest, value, ready_at in writes:
+                registers[dest] = value
+                if ready_at:
+                    data_ready[dest] = ready_at
+                else:
+                    data_ready.pop(dest, None)
+
+            useful += 1
+            clock += 1
+
+        graph = self.schedule.graph
+        # Surplus source iterations become observable only when the run
+        # covers the loop's whole trip count (the unrolled loop has no
+        # epilogue, so its last iteration executes every replica).
+        surplus = 0
+        if graph is not None and n_iterations >= graph.trip_count:
+            surplus = max(
+                0,
+                graph.trip_count * graph.unroll_factor
+                - graph.source_trip_count,
+            )
+        result = SimulationResult(
+            loop=self.schedule.loop,
+            machine=self.schedule.machine.name,
+            ii=code.ii,
+            stage_count=code.stage_count,
+            mve_factor=mve,
+            requested_iterations=iterations,
+            iterations=n_iterations,
+            unroll_factor=1 if graph is None else graph.unroll_factor,
+            surplus_iterations=surplus,
+            useful_cycles=useful,
+            stall_cycles=stalls,
+            instructions=instructions,
+            loads=loads,
+            stores=stores,
+            moves=moves,
+            cache_hits=cache.hits,
+            cache_misses=cache.misses,
+            state_digest=state_digest(values, memory),
+        )
+        return SimulationRun(
+            result=result, values=values, memory=memory, registers=registers
+        )
+
+
+class LegacyReferenceInterpreter:
+    """Executes a dependence graph directly (see module docstring).
+
+    Args:
+        graph: the loop to interpret.
+        live_in_moduli: per-value collapse of pre-loop instances.  A
+            value held in ``m`` distinct physical registers can present
+            at most ``m`` distinct live-ins, one per register copy
+            (iteration ``j`` owns copy ``j % m``), so pre-loop instances
+            congruent modulo ``m`` are physically one value.  Pass
+            ``{value id: number of distinct register names}`` (see
+            :func:`live_in_moduli_of_code`) when comparing against
+            emitted code, an ``int`` for a uniform modulus, or ``None``
+            (the default) to keep every pre-loop instance distinct.
+    """
+
+    def __init__(
+        self,
+        graph: DependenceGraph,
+        live_in_moduli: dict[int, int] | int | None = None,
+    ):
+        self.graph = graph
+        if isinstance(live_in_moduli, int):
+            if live_in_moduli < 1:
+                raise ValueError("live-in modulus must be positive")
+            live_in_moduli = {
+                node_id: live_in_moduli for node_id in graph.node_ids()
+            }
+        self.live_in_moduli = live_in_moduli
+        self._order = intra_iteration_order(graph)
+        # Pre-resolved operand plan per node: REG producers with their
+        # distances, invariant values, and spill-load slot distances.
+        self._reg_in: dict[int, list[tuple[int, int]]] = {}
+        self._invariant_operands: dict[int, list[int]] = {}
+        self._spill_distance: dict[int, int] = {}
+        for node in graph.nodes():
+            self._reg_in[node.id] = [
+                (edge.src, edge.distance)
+                for edge in graph.in_edges(node.id)
+                if edge.kind is DepKind.REG
+            ]
+            self._invariant_operands[node.id] = [
+                ops.invariant_value(inv.id)
+                for inv in graph.invariants_of(node.id)
+            ]
+            if node.kind is OpKind.LOAD and node.is_spill:
+                self._spill_distance[node.id] = spill_load_distance(
+                    graph, node.id
+                )
+
+    # ------------------------------------------------------------------
+
+    def run(self, iterations: int) -> ReferenceRun:
+        """Execute the loop for the given number of iterations."""
+        if iterations < 1:
+            raise ValueError("need at least one iteration")
+        values: dict[tuple[int, int], int] = {}
+        memory: dict[int, int] = {}
+
+        moduli = self.live_in_moduli
+
+        def value_of(node_id: int, iteration: int) -> int:
+            if iteration >= 0:
+                return values[(node_id, iteration)]
+            if moduli is not None:
+                modulus = moduli.get(node_id, 1)
+                iteration = iteration % modulus - modulus
+            return ops.initial_value(node_id, iteration)
+
+        for iteration in range(iterations):
+            for node_id in self._order:
+                node = self.graph.node(node_id)
+                operands = [
+                    value_of(src, iteration - distance)
+                    for src, distance in self._reg_in[node_id]
+                ]
+                operands += self._invariant_operands[node_id]
+
+                if node.kind is OpKind.LOAD:
+                    if node.load_of_invariant is not None:
+                        value = ops.invariant_value(node.load_of_invariant)
+                    elif node.mem_ref is None:
+                        # No access pattern: a register-like scratch
+                        # location (mirrors repro.memsim.trace).
+                        value = ops.load_value(0, operands)
+                    else:
+                        slot = iteration - self._spill_distance.get(node_id, 0)
+                        address = node.mem_ref.address(slot)
+                        word = memory.get(address)
+                        if word is None:
+                            word = ops.initial_memory(address)
+                        value = ops.load_value(word, operands)
+                elif node.kind is OpKind.MOVE and (
+                    node.move_of_invariant is not None
+                ):
+                    value = ops.invariant_value(node.move_of_invariant)
+                else:
+                    value = legacy_evaluate(node.kind, operands)
+
+                values[(node_id, iteration)] = value
+                if node.kind is OpKind.STORE and node.mem_ref is not None:
+                    memory[node.mem_ref.address(iteration)] = value
+
+        return ReferenceRun(
+            loop=self.graph.name,
+            iterations=iterations,
+            values=values,
+            memory=memory,
+        )

@@ -24,6 +24,7 @@ from repro.analysis.cfg import register_cluster, split_sources
 from repro.codegen import generate_code
 from repro.codegen.emitter import CERTIFY_ENV, GeneratedCode
 from repro.errors import CertificationError, CodegenError
+from repro.graph.ddg import DepKind
 from repro.obs import RecordingTracer
 from repro.workloads.perfect import cached_suite
 
@@ -359,6 +360,82 @@ class TestSabotage:
             ViolationKind.STALE_LIVE_IN,
             ViolationKind.WRONG_PRODUCER,
         }
+
+    def test_slower_machine_breaks_register_latencies(self, deep_schedule):
+        """The same code on a machine whose operations take longer:
+        every tight producer->consumer read becomes a LATENCY violation
+        at the reading register."""
+        result, code = deep_schedule
+        machine = result.machine
+        slower = dataclasses.replace(
+            machine,
+            latencies={kind: lat + 8 for kind, lat in machine.latencies.items()},
+        )
+        report = certify_code(code, dataclasses.replace(result, machine=slower))
+        reads = [
+            v for v in report.violations
+            if v.kind is ViolationKind.LATENCY and v.register is not None
+        ]
+        assert reads, report.summary()
+        assert "latency is" in reads[0].detail
+
+    def test_memory_ordering_latency_is_checked(self, deep_schedule):
+        """A memory dependence longer than the issue distance of its two
+        operations is a LATENCY violation (no register involved)."""
+        result, code = deep_schedule
+        order = sorted(result.times, key=result.times.get)
+        first, second = order[0], order[-1]
+        gap = result.times[second] - result.times[first]
+        assert gap > 0
+        graph = result.graph.clone()
+        graph.add_edge(first, second, kind=DepKind.MEM, latency=gap + 1)
+        report = certify_code(code, dataclasses.replace(result, graph=graph))
+        ordering = [
+            v for v in report.violations
+            if v.kind is ViolationKind.LATENCY and v.register is None
+        ]
+        assert ordering, report.summary()
+        assert all(v.operation == second for v in ordering)
+        assert f"mem dependence {first}->{second}" in ordering[0].detail
+
+    def test_foreign_destination_is_cross_cluster(self, clustered_schedule):
+        """An instruction writing another cluster's register file."""
+        result, code = clustered_schedule
+        kernel = [list(b) for b in code.kernel]
+        index, position, inst = next(
+            (index, position, inst)
+            for index, bundle in enumerate(kernel)
+            for position, inst in enumerate(bundle)
+            if inst.dest is not None and inst.mnemonic != "move"
+        )
+        foreign = (inst.cluster + 1) % result.machine.clusters
+        dest = f"c{foreign}:" + inst.dest.partition(":")[2]
+        kernel[index][position] = dataclasses.replace(inst, dest=dest)
+        report = certify_code(dataclasses.replace(code, kernel=kernel), result)
+        assert any(
+            v.kind is ViolationKind.CROSS_CLUSTER and v.register == dest
+            for v in report.violations
+        ), report.summary()
+
+    def test_resources_follow_each_instance_cluster(self, clustered_schedule):
+        """Resource usage is charged to the cluster the *code* names for
+        each instance: three copies of one operation relabelled onto
+        another cluster overfill that cluster's two units."""
+        result, code = clustered_schedule
+        kernel = [list(b) for b in code.kernel]
+        index, inst = next(
+            (index, inst)
+            for index, bundle in enumerate(kernel)
+            for inst in bundle
+            if inst.mnemonic in ("add", "mul")
+        )
+        foreign = (inst.cluster + 1) % result.machine.clusters
+        kernel[index] += [dataclasses.replace(inst, cluster=foreign)] * 3
+        report = certify_code(dataclasses.replace(code, kernel=kernel), result)
+        assert any(
+            v.kind is ViolationKind.RESOURCE and f"of cluster {foreign} " in v.detail
+            for v in report.violations
+        ), report.summary()
 
     def test_truncated_epilogue_is_structural(self, deep_schedule):
         result, code = deep_schedule

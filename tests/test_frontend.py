@@ -21,7 +21,7 @@ import pytest
 
 from repro import LoopBuilder, ScheduleRequest, generate_code
 from repro.analysis import certify_code
-from repro.exec import SuiteExecutor
+from repro.exec import ResultCache, SuiteExecutor
 from repro.errors import FrontendError
 from repro.frontend import (
     classify_names,
@@ -47,6 +47,8 @@ from repro.frontend.parser import (
 from repro.graph.ddg import DepKind
 from repro.graph.recurrences import recurrence_mii
 from repro.machine.resources import OpKind
+from repro.frontend.reference import SourceInterpreter
+from repro.sim.differential import MAX_REPORTED
 from repro.sim.reference import ReferenceInterpreter
 
 from tests.helpers import FOUR_CLUSTER, UNIFIED
@@ -579,6 +581,130 @@ class TestEndToEnd:
         # The RecMII column is the analyzed one: ewma2 reads 4.
         ewma_row = next(row for row in rows if row[1] == "ewma2")
         assert ewma_row[headers.index("RecMII")] == 4
+
+
+def scheduled_kernel(name: str):
+    lowered = load_kernel(name)
+    result = ScheduleRequest().make_scheduler(UNIFIED).schedule(
+        lowered.graph.clone()
+    )
+    return lowered, result
+
+
+class TestSourceDifferentialRuns:
+    def test_memory_mismatch_survives_many_value_mismatches(
+        self, monkeypatch
+    ):
+        """20 value and 1 memory mismatch: each category keeps its own
+        cap, so the memory site is reported, not folded into the tail."""
+        import repro.frontend.differential as differential
+
+        class Corrupted(SourceInterpreter):
+            def run(self, iterations):
+                run = super().run(iterations)
+                for key in sorted(run.values)[:20]:
+                    run.values[key] += 1
+                run.memory[min(run.memory)] += 1
+                return run
+
+        monkeypatch.setattr(differential, "SourceInterpreter", Corrupted)
+        lowered, result = scheduled_kernel("saxpy")
+        diff = run_source_differential(lowered, result, 24, cache=False)
+        assert not diff.analysis_match
+        analysis = [m for m in diff.mismatches if m.startswith("[analysis]")]
+        assert sum(" value of " in m for m in analysis) == MAX_REPORTED
+        assert sum(" memory[" in m for m in analysis) == 1
+        assert analysis[-1] == (
+            f"[analysis] ... and {20 - MAX_REPORTED} further mismatches"
+        )
+
+    @pytest.mark.parametrize("cached", (False, True))
+    def test_links_two_and_three_share_one_simulation(
+        self, monkeypatch, tmp_path, cached
+    ):
+        import repro.sim.vliw as vliw
+
+        runs: list[int] = []
+        real_run = vliw.VliwSimulator.run
+
+        def counting_run(self, iterations):
+            runs.append(iterations)
+            return real_run(self, iterations)
+
+        monkeypatch.setattr(vliw.VliwSimulator, "run", counting_run)
+        cache = ResultCache(tmp_path) if cached else False
+        for name in ("saxpy", "ewma2"):
+            lowered, result = scheduled_kernel(name)
+            for _ in range(2):  # cold, then warm when cached
+                runs.clear()
+                diff = run_source_differential(lowered, result, 24, cache=cache)
+                assert diff.source_match is True, diff.summary()
+                assert runs == [24]
+
+    def test_hazard_skips_link_three_and_a_warm_cache_skips_the_run(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.frontend.differential as differential
+        import repro.sim.vliw as vliw
+
+        runs: list[int] = []
+        real_run = vliw.VliwSimulator.run
+
+        def counting_run(self, iterations):
+            runs.append(iterations)
+            return real_run(self, iterations)
+
+        monkeypatch.setattr(vliw.VliwSimulator, "run", counting_run)
+        monkeypatch.setattr(
+            differential, "live_in_hazards", lambda graph: ("renamed",)
+        )
+        lowered, result = scheduled_kernel("saxpy")
+        cache = ResultCache(tmp_path)
+        for expected_runs in ([24], []):  # cold, then warm
+            runs.clear()
+            diff = run_source_differential(lowered, result, 24, cache=cache)
+            assert diff.hazards == ("renamed",)
+            assert diff.source_match is None
+            assert diff.emitted_match and diff.match, diff.summary()
+            assert runs == expected_runs
+
+    def test_emitter_sabotage_reaches_links_two_and_three(self, monkeypatch):
+        """Rewire one register operand of a source operation in the
+        emitted kernel: the one shared run must fail both links."""
+        import dataclasses
+
+        import repro.sim.vliw as vliw
+
+        lowered, result = scheduled_kernel("saxpy")
+        pristine = set(lowered.graph.node_ids())
+
+        def sabotaged(schedule):
+            code = generate_code(schedule)
+            names = sorted({copies[0] for copies in code.registers.values()})
+            for bundle in code.kernel:
+                for index, inst in enumerate(bundle):
+                    sources = [
+                        s for s in inst.sources if not s.startswith("inv:")
+                    ]
+                    if inst.node in pristine and sources:
+                        wrong = next(n for n in names if n != sources[0])
+                        bundle[index] = dataclasses.replace(
+                            inst,
+                            sources=tuple(
+                                wrong if s == sources[0] else s
+                                for s in inst.sources
+                            ),
+                        )
+                        return code
+            raise AssertionError("no instruction to sabotage")
+
+        monkeypatch.setattr(vliw, "generate_code", sabotaged)
+        diff = run_source_differential(lowered, result, 24, cache=False)
+        assert diff.analysis_match
+        assert not diff.emitted_match
+        assert diff.source_match is False
+        assert any(m.startswith("[emitted] value of") for m in diff.mismatches)
+        assert any(m.startswith("[source] value of") for m in diff.mismatches)
 
 
 # ----------------------------------------------------------------------

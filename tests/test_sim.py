@@ -10,11 +10,16 @@ bit for bit, and the measured useful cycles must equal
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import LoopBuilder, MirsC
+from repro import LoopBuilder, MemRef, MirsC, ScheduleRequest, parse_config
 from repro.codegen import generate_code
+from repro.errors import SimulationError
 from repro.exec import ResultCache, simulation_cache_key
+from repro.frontend.corpus import load_corpus
 from repro.machine.resources import OpKind
+from repro.memsim.cache import CacheConfig
 from repro.sim import (
     ReferenceInterpreter,
     VliwSimulator,
@@ -25,13 +30,20 @@ from repro.sim import (
     simulate_schedule,
 )
 from repro.sim import ops
+from repro.sim.differential import MAX_REPORTED, state_mismatches
+from repro.sim.reference import live_in_moduli_of_code
 from repro.sim.vliw import effective_iterations
 from repro.workloads.perfect import cached_suite
 
 from tests.helpers import (
+    FOUR_CLUSTER,
     FOUR_CLUSTER_TIGHT,
+    TWO_CLUSTER,
     UNIFIED,
+    LegacyReferenceInterpreter,
+    LegacyVliwSimulator,
     daxpy,
+    legacy_evaluate,
     random_graph,
     reduction,
 )
@@ -78,6 +90,21 @@ class TestOps:
 
     def test_plain_load_yields_memory_word(self):
         assert ops.load_value(123456, []) == 123456
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(list(OpKind)),
+        operands=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_evaluator_matches_the_sorting_evaluate(self, kind, operands, rng):
+        """The once-resolved evaluators equal the old sort-first body
+        on any operand order."""
+        expected = legacy_evaluate(kind, list(operands))
+        shuffled = list(operands)
+        rng.shuffle(shuffled)
+        assert ops.evaluator(kind)(shuffled) == expected
+        assert ops.evaluate(kind, tuple(shuffled)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +289,176 @@ class TestDifferential:
             run.result.iterations
         )
         assert run.values != reference.values
+
+
+# ----------------------------------------------------------------------
+# Compiled plans vs the per-instruction / per-node loops they replaced
+# ----------------------------------------------------------------------
+
+
+def assert_plans_match_oracles(result, iterations, cache_config=None):
+    """Simulator and reference plans reproduce the old loops exactly:
+    every value, memory word, register and SimulationResult field."""
+    code = generate_code(result)
+    new = VliwSimulator(result, code=code, cache_config=cache_config).run(
+        iterations
+    )
+    old = LegacyVliwSimulator(
+        result, code=code, cache_config=cache_config
+    ).run(iterations)
+    assert new.result == old.result, result.loop
+    assert new.values == old.values, result.loop
+    assert new.memory == old.memory, result.loop
+    assert new.registers == old.registers, result.loop
+    effective = new.result.iterations
+    for moduli in (None, live_in_moduli_of_code(code)):
+        plan = ReferenceInterpreter(result.graph, live_in_moduli=moduli)
+        loop = LegacyReferenceInterpreter(result.graph, live_in_moduli=moduli)
+        assert plan.run(effective) == loop.run(effective), result.loop
+    return new
+
+
+def every_operand_shape():
+    """One loop with the rare operand shapes the plans special-case: an
+    invariant spill load, a scratch load without a MemRef, a load with a
+    register operand, a latency-override load, and missing loads (a
+    stride of a whole cache line)."""
+    b = LoopBuilder("shapes", trip_count=64)
+    a = b.invariant("a")
+    x = b.load(array=0, stride=8)
+    prefetched = b.load(array=1, stride=8, latency_override=3)
+    b.store(b.add(prefetched, a), array=5, stride=1)
+    indexed = b.load(x, array=2, stride=1)
+    total = b.add(x, indexed, a)
+    b.store(total, array=3, stride=1)
+    graph = b.build()
+    inv = graph.invariants()[0]
+    reload = graph.new_node(
+        OpKind.LOAD,
+        load_of_invariant=inv.id,
+        is_spill=True,
+        mem_ref=MemRef(array=9, stride=0),
+    )
+    scratch = graph.new_node(OpKind.LOAD)
+    product = graph.new_node(OpKind.MUL)
+    for producer in (reload, scratch, total):
+        graph.add_edge(producer.id, product.id)
+    store = graph.new_node(OpKind.STORE, mem_ref=MemRef(array=4, stride=1))
+    graph.add_edge(product.id, store.id)
+    graph.validate()
+    return graph
+
+
+def invariant_fanout():
+    """Four invariants read across eight lanes: on a two-cluster machine
+    with 16 registers per cluster the scheduler moves invariants between
+    clusters instead of keeping a register for each in both."""
+    b = LoopBuilder("fanout", trip_count=64)
+    invariants = [b.invariant(f"k{i}") for i in range(4)]
+    lanes = [
+        b.mul(b.load(array=j), invariants[j % 4], invariants[(j + 1) % 4])
+        for j in range(8)
+    ]
+    total = lanes[0]
+    for lane in lanes[1:]:
+        total = b.add(total, lane)
+    b.store(total, array=50)
+    return b.build()
+
+
+class TestPlanOracle:
+    def test_workbench(self, workbench_schedules):
+        for result in workbench_schedules:
+            assert_plans_match_oracles(result, DIFF_ITERATIONS)
+
+    @pytest.mark.parametrize("machine", (UNIFIED, FOUR_CLUSTER),
+                             ids=lambda m: m.name)
+    def test_corpus(self, machine):
+        scheduler = ScheduleRequest().make_scheduler(machine)
+        for lowered in load_corpus():
+            result = scheduler.schedule(lowered.graph.clone())
+            assert_plans_match_oracles(result, DIFF_ITERATIONS)
+
+    def test_random_graphs(self):
+        for seed in range(6):
+            result = MirsC(FOUR_CLUSTER_TIGHT).schedule(
+                random_graph(seed, size=9)
+            )
+            assert_plans_match_oracles(result, 13)
+
+    @pytest.mark.parametrize("machine", (UNIFIED, TWO_CLUSTER),
+                             ids=lambda m: m.name)
+    def test_every_operand_shape(self, machine):
+        result = MirsC(machine).schedule(every_operand_shape())
+        graph = result.graph
+        loads = [node for node in graph.nodes() if node.kind is OpKind.LOAD]
+        assert any(node.load_of_invariant is not None for node in loads)
+        assert any(node.latency_override is not None for node in loads)
+        assert any(node.mem_ref is None for node in loads)
+        assert any(graph.reg_producers(node.id) for node in loads)
+        relaxed = assert_plans_match_oracles(result, DIFF_ITERATIONS)
+        # One MSHR: a miss issued while another is outstanding blocks.
+        blocked = assert_plans_match_oracles(
+            result, DIFF_ITERATIONS, CacheConfig(mshrs=1)
+        )
+        assert blocked.result.stall_cycles > relaxed.result.stall_cycles
+        assert run_differential(
+            result, DIFF_ITERATIONS, cache_config=CacheConfig(mshrs=1),
+            cache=False,
+        ).match
+
+    def test_invariant_moves(self):
+        machine = parse_config("2-(GP4M2-REG16)")
+        result = MirsC(machine).schedule(invariant_fanout())
+        assert any(
+            node.move_of_invariant is not None for node in result.graph.nodes()
+        )
+        assert_plans_match_oracles(result, DIFF_ITERATIONS)
+        assert run_differential(result, DIFF_ITERATIONS, cache=False).match
+
+    def test_undefined_register_raises_at_run_time(self):
+        import dataclasses
+
+        result = MirsC(UNIFIED).schedule(daxpy())
+        code = generate_code(result)
+        inst = code.kernel[0][0]
+        code.kernel[0][0] = dataclasses.replace(
+            inst, sources=inst.sources + ("c0:r999",)
+        )
+        simulator = VliwSimulator(result, code=code)
+        with pytest.raises(SimulationError, match="r999.*nothing defines"):
+            simulator.run(8)
+
+    def test_unknown_invariant_raises(self):
+        import dataclasses
+
+        result = MirsC(UNIFIED).schedule(daxpy())
+        code = generate_code(result)
+        inst = code.kernel[0][0]
+        code.kernel[0][0] = dataclasses.replace(
+            inst, sources=inst.sources + ("inv:nowhere",)
+        )
+        with pytest.raises(
+            SimulationError, match="unknown invariant operand 'inv:nowhere'"
+        ):
+            VliwSimulator(result, code=code).run(8)
+
+
+class TestStateMismatches:
+    def test_memory_keeps_its_own_cap_behind_many_value_mismatches(self):
+        expected = {(0, i): i for i in range(20)}
+        actual = {(0, i): i + 1 for i in range(20)}
+        lines = state_mismatches(
+            actual, {64: 1}, expected, {64: 2}, {0: "x"}
+        )
+        assert len(lines) == MAX_REPORTED + 2
+        assert lines[0] == "value of x @ iteration 0: code=1 reference=0"
+        assert lines[MAX_REPORTED] == "memory[0x40]: code=1 reference=2"
+        assert lines[-1] == f"... and {20 - MAX_REPORTED} further mismatches"
+
+    def test_equal_states_report_nothing(self):
+        state = {(1, 0): 5}
+        assert state_mismatches(state, {8: 1}, dict(state), {8: 1}, {}) == []
 
 
 # ----------------------------------------------------------------------
