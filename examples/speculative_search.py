@@ -16,16 +16,15 @@ the race's typed ledger from ``stats.search``
 (:class:`repro.obs.SearchStats`).
 """
 
-import os
-
 from repro import MirsC, MirsParams, parse_config
 from repro.exec import result_fingerprint
+from repro.exec.engine import usable_cpus
 from repro.workloads.perfect import cached_suite
 
 machine = parse_config("2-(GP4M2-REG16)")
 loops = cached_suite(4)
 
-print(f"host cpus: {os.cpu_count()} (racing K attempts needs K cores "
+print(f"usable cpus: {usable_cpus()} (racing K attempts needs K cores "
       "to pay off in wall-clock; the answer is identical regardless)\n")
 
 for loop in loops:

@@ -84,7 +84,6 @@ from repro.core.search import (
 )
 from repro.core.verify import verify_schedule
 from repro.errors import (
-    AllocationError,
     CertificationError,
     CodegenError,
     ConfigError,
@@ -125,7 +124,6 @@ from repro.order.hrms import hrms_order
 __version__ = "1.0.0"
 
 __all__ = [
-    "AllocationError",
     "AttemptOutcome",
     "AttemptResult",
     "AttemptTask",

@@ -693,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: $REPRO_JOBS or 1; 0 = all CPUs)",
+        help="worker processes (default: $REPRO_JOBS or 1; 0 = all usable CPUs)",
     )
     analyze.add_argument(
         "--no-cache",
@@ -709,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: $REPRO_JOBS or 1; 0 = all CPUs)",
+        help="worker processes (default: $REPRO_JOBS or 1; 0 = all usable CPUs)",
     )
     compare.add_argument(
         "--no-cache",
@@ -770,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: $REPRO_JOBS or 1; 0 = all CPUs)",
+        help="worker processes (default: $REPRO_JOBS or 1; 0 = all usable CPUs)",
     )
     frontend_run.add_argument(
         "--no-cache",

@@ -83,10 +83,6 @@ class ConvergenceError(SchedulingError):
         self.kind_histogram = dict(kind_histogram or {})
 
 
-class AllocationError(ReproError):
-    """Register allocation could not complete with the given register file."""
-
-
 class SimulationError(ReproError):
     """The execution simulator hit malformed code (an instruction read a
     register no instruction ever defines, a bundle fell outside the

@@ -11,7 +11,7 @@ sequentially dominates the cost of every run.  This package provides:
   :class:`~repro.core.result.ScheduleResult` objects by those keys.
   It is the one schedule cache: the scheduler core memoizes nothing,
   so ``SuiteExecutor(cache=False)`` reads and writes no schedule
-  anywhere.  Simulations are cached the same way, under
+  anywhere.  Differential reports are cached the same way, under
   :func:`~repro.exec.hashing.simulation_cache_key`;
 * :mod:`repro.exec.engine` - the :class:`SuiteExecutor` that fans a
   workbench out over worker processes with deterministic result

@@ -50,15 +50,24 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
     ``None`` falls back to the ``REPRO_JOBS`` environment variable and
     then to 1 (sequential); 0 or a negative count means "one worker per
-    CPU".
+    usable CPU" (see :func:`usable_cpus`).
     """
     if jobs is None:
         jobs = int_env(
             JOBS_ENV, 1, fallback_note="running sequentially (jobs=1)"
         )
     if jobs <= 0:
-        return os.cpu_count() or 1
+        return usable_cpus()
     return jobs
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` narrows it below the host's count),
+    else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def make_engine(

@@ -18,9 +18,7 @@ about: the code emitted by :mod:`repro.codegen` actually *runs*.
   spilling + register allocation + MVE + emitter.  Its
   :func:`~repro.sim.differential.compare_run` checks an already
   finished run, so a caller with one run (the source differential of
-  :mod:`repro.frontend`) compares it against several references;
-* :mod:`repro.sim.runner` — cached, optionally parallel batch
-  simulation through :mod:`repro.exec`.
+  :mod:`repro.frontend`) compares it against several references.
 
 Both executions run from *plans* built once per simulator or
 interpreter.  The simulator compiles every emitted instruction into a
@@ -41,7 +39,6 @@ Entry points: ``python -m repro simulate`` on the command line,
 from repro.sim.differential import DifferentialReport, run_differential
 from repro.sim.reference import ReferenceInterpreter, ReferenceRun, run_reference
 from repro.sim.result import SimulationResult
-from repro.sim.runner import simulate_many, simulate_schedule
 from repro.sim.vliw import SimulationRun, VliwSimulator, simulate
 
 __all__ = [
@@ -54,6 +51,4 @@ __all__ = [
     "run_differential",
     "run_reference",
     "simulate",
-    "simulate_many",
-    "simulate_schedule",
 ]

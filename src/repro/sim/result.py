@@ -1,8 +1,9 @@
 """Measured outcome of one simulated loop execution.
 
 :class:`SimulationResult` is the compact, picklable record the rest of
-the stack consumes: the exec layer memoizes it on disk (keyed by
-:func:`repro.exec.hashing.simulation_cache_key`), the CLI prints it,
+the stack consumes: the differential memo keeps it on disk inside its
+reports (keyed by :func:`repro.exec.hashing.simulation_cache_key`), the
+CLI prints it,
 ``eval/experiments`` compares it against the analytic stall prediction
 of :mod:`repro.memsim`, and ``benchmarks/bench_simulator.py`` feeds it
 into ``BENCH_suite.json``.  Bulky per-instance state (register values,

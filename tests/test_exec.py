@@ -331,6 +331,13 @@ class TestResolvers:
         with pytest.warns(RuntimeWarning):
             assert resolve_jobs(None) == 1
 
+    def test_all_cpus_means_the_usable_ones(self, monkeypatch):
+        """``jobs=0`` counts the CPUs the process may run on (``taskset
+        -c 0`` leaves one), not every CPU of the host."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_jobs(0) == 1
+
     def test_resolve_cache(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)

@@ -26,8 +26,6 @@ from repro.sim import (
     run_differential,
     run_reference,
     simulate,
-    simulate_many,
-    simulate_schedule,
 )
 from repro.sim import ops
 from repro.sim.differential import MAX_REPORTED, state_mismatches
@@ -467,26 +465,6 @@ class TestStateMismatches:
 
 
 class TestRunner:
-    def test_simulate_many_orders_and_caches(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
-        loops = cached_suite(3)
-        scheduler = MirsC(UNIFIED)
-        schedules = [scheduler.schedule(loop.graph.clone()) for loop in loops]
-
-        first = simulate_many(schedules, 20, cache=cache)
-        assert [r.loop for r in first] == [loop.graph.name for loop in loops]
-
-        # A second call must be served entirely from the cache: break the
-        # simulation path and make sure nobody needs it.
-        import repro.sim.runner as runner_module
-
-        def boom(item):
-            raise AssertionError("cache miss on a warm cache")
-
-        monkeypatch.setattr(runner_module, "_simulate_item", boom)
-        second = simulate_many(schedules, 20, cache=cache)
-        assert second == first
-
     def test_run_differential_uses_cache(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         result = MirsC(UNIFIED).schedule(daxpy())
@@ -503,13 +481,6 @@ class TestRunner:
 
         monkeypatch.setattr(differential_module, "VliwSimulator", Boom)
         assert run_differential(result, 20, cache=cache) == first
-
-    def test_simulate_schedule_uses_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = MirsC(UNIFIED).schedule(daxpy())
-        first = simulate_schedule(result, 20, cache=cache)
-        assert len(cache) == 1
-        assert simulate_schedule(result, 20, cache=cache) == first
 
     def test_cache_key_sensitivity(self):
         result = MirsC(UNIFIED).schedule(daxpy())
