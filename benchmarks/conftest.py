@@ -110,8 +110,8 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(_tables[name])
     terminalreporter.write_line("")
     terminalreporter.write_line(
-        "Tables saved under benchmarks/results/; see EXPERIMENTS.md for "
-        "the paper-vs-measured comparison."
+        "Tables saved under benchmarks/results/; the paper-vs-measured "
+        "record is planned in ROADMAP.md's paper-fidelity item."
     )
     if _executor is not None and _executor.history:
         stats = _executor.stats

@@ -534,7 +534,7 @@ def _cmd_frontend_run(args: argparse.Namespace) -> int:
             continue
         cert = certify_code(code, result)
         diff = run_source_differential(
-            kernel, result, args.iterations, cache=cache
+            kernel, result, args.iterations, cache=cache, code=code
         )
         if diff.match:
             verdict = "match" if diff.source_match is not None else (

@@ -185,39 +185,51 @@ def _register_names(
     return names, usage
 
 
-def _instruction(
+def _instances(
     result: ScheduleResult,
     node_id: int,
     stage: int,
-    copy: int,
     registers: dict[int, list[str]],
     mve: int,
-) -> Instruction:
+) -> list[Instruction]:
+    """The instruction of every kernel copy of one node, indexed by copy.
+
+    A node issues at one stage, so each field of an instance is a
+    function of the node and the copy: the prologue, the kernel and the
+    epilogue all share these objects.
+    """
     graph = result.graph
     assert graph is not None  # generate_code rejects graph-less results
     node = graph.node(node_id)
-    sources: list[str] = []
-    for edge in graph.in_edges(node_id):
-        if edge.kind is not DepKind.REG:
-            continue
-        # The operand comes from the copy that produced it: `distance`
-        # iterations (hence kernel copies) earlier.
-        source_copy = (copy - edge.distance) % mve
-        sources.append(registers[edge.src][source_copy])
-    for invariant in graph.invariants_of(node_id):
-        sources.append(f"inv:{invariant.name}")
-    dest: str | None = None
-    if node.produces_value and node_id in registers:
-        dest = registers[node_id][copy]
-    return Instruction(
-        node=node_id,
-        mnemonic=node.kind.value,
-        cluster=result.clusters[node_id],
-        stage=stage,
-        copy=copy,
-        dest=dest,
-        sources=tuple(sorted(sources)),
-    )
+    # (producer's register per copy, distance): an operand comes from
+    # the copy that produced it, `distance` iterations (hence kernel
+    # copies) earlier.
+    reg_in = [
+        (registers[edge.src], edge.distance)
+        for edge in graph.in_edges(node_id)
+        if edge.kind is DepKind.REG
+    ]
+    invariants = [f"inv:{inv.name}" for inv in graph.invariants_of(node_id)]
+    dests = registers.get(node_id) if node.produces_value else None
+    mnemonic = node.kind.value
+    cluster = result.clusters[node_id]
+    return [
+        Instruction(
+            node=node_id,
+            mnemonic=mnemonic,
+            cluster=cluster,
+            stage=stage,
+            copy=copy,
+            dest=None if dests is None else dests[copy],
+            sources=tuple(
+                sorted(
+                    [names[(copy - distance) % mve] for names, distance in reg_in]
+                    + invariants
+                )
+            ),
+        )
+        for copy in range(mve)
+    ]
 
 
 def generate_code(result: ScheduleResult) -> GeneratedCode:
@@ -272,22 +284,29 @@ def generate_code(result: ScheduleResult) -> GeneratedCode:
             )
 
     low = min(result.times.values(), default=0)
-    by_slot: dict[tuple[int, int], list[int]] = {}
+    # (row, stage) -> per kernel copy, the instructions of that slot in
+    # node-id order.
+    by_slot: dict[tuple[int, int], list[list[Instruction]]] = {}
     stage_count = 1
-    for node_id, cycle in result.times.items():
-        row = (cycle - low) % ii
-        stage = (cycle - low) // ii
+    for node_id in sorted(result.times):
+        cycle = result.times[node_id] - low
+        row, stage = cycle % ii, cycle // ii
         stage_count = max(stage_count, stage + 1)
-        by_slot.setdefault((row, stage), []).append(node_id)
+        slot = by_slot.get((row, stage))
+        if slot is None:
+            slot = by_slot[(row, stage)] = [[] for _ in range(mve)]
+        for copy, inst in enumerate(
+            _instances(result, node_id, stage, registers, mve)
+        ):
+            slot[copy].append(inst)
 
     def bundle(row: int, stages: list[tuple[int, int]]) -> list[Instruction]:
         """Instructions issuing at one cycle: (stage, copy) pairs."""
-        instructions = []
+        instructions: list[Instruction] = []
         for stage, copy in stages:
-            for node_id in sorted(by_slot.get((row, stage), ())):
-                instructions.append(
-                    _instruction(result, node_id, stage, copy, registers, mve)
-                )
+            slot = by_slot.get((row, stage))
+            if slot is not None:
+                instructions.extend(slot[copy])
         return instructions
 
     # Prologue: iteration i (i = 0..SC-2) starts at cycle i*II; at cycle

@@ -3,8 +3,9 @@
 Each ``*_rows`` function runs the required schedules and returns
 ``(headers, rows, note)`` ready for :func:`repro.eval.reporting.render_table`.
 The benchmark files under ``benchmarks/`` are thin wrappers that time
-these drivers and print the tables; EXPERIMENTS.md records how each
-reproduction compares with the paper's published numbers.
+these drivers and print the tables.  No committed record compares them
+with the paper's published numbers yet; ROADMAP.md's paper-fidelity
+item plans one.
 """
 
 from __future__ import annotations
@@ -447,7 +448,7 @@ def frontend_rows(
                 continue
             cert = certify_code(code, result)
             diff = run_source_differential(
-                kernel, result, iterations, cache=cache
+                kernel, result, iterations, cache=cache, code=code
             )
             verdict = "match" if diff.match else "MISMATCH"
             if diff.match and diff.source_match is None:
@@ -620,8 +621,9 @@ def optimality_rows(
         ]
         validated = "-"
         if smt.converged:
-            cert = certify_code(generate_code(smt), smt)
-            diff = run_differential(smt, iterations, cache=cache)
+            code = generate_code(smt)
+            cert = certify_code(code, smt)
+            diff = run_differential(smt, iterations, cache=cache, code=code)
             validated = "ok" if cert.ok and diff.match else "FAIL"
         gap: object = "-"
         gate = "n/a"

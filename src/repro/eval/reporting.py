@@ -2,7 +2,8 @@
 
 Benchmarks print these tables so that a run of ``pytest benchmarks/
 --benchmark-only`` regenerates the same rows/series the paper reports
-(EXPERIMENTS.md records the paper-vs-measured comparison).
+(the paper-vs-measured record is planned in ROADMAP.md's paper-fidelity
+item).
 """
 
 from __future__ import annotations

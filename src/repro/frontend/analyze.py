@@ -14,10 +14,14 @@ Two analyses run between parsing and lowering:
   same word iff ``d = (offset_A - offset_B) / stride`` is a
   non-negative integer, giving loop-carried distances that feed RecMII
   directly (a prefix sum's ``a[i] = a[i] + a[i-1]`` yields the
-  distance-1 flow arc that makes its recurrence real).  Accesses with
-  differing strides on one array are outside the exact fragment and
-  rejected with :class:`~repro.errors.FrontendError` rather than
-  approximated.
+  distance-1 flow arc that makes its recurrence real).  A stride of 0
+  (a constant subscript) is exact too: equal offsets touch one word in
+  every iteration, so the pair is ordered within an iteration and
+  carried at distance 1, as in a reduction into memory
+  (``a[0] = a[0] + b[i]``); different constant offsets never alias.
+  Accesses with differing strides on one array are outside the exact
+  fragment and rejected with :class:`~repro.errors.FrontendError`
+  rather than approximated.
 
 Scalar (register) dependences — including loop-carried recurrences
 through copy chains like ``s2 = s1; s1 = t`` — are handled by the
@@ -201,31 +205,40 @@ def memory_dependences(kernel: Kernel) -> list[MemDep]:
                     "dependence test needs a uniform stride per array"
                 )
             delta = a.ref.offset - b.ref.offset
-            if delta % stride_a != 0:
+            if stride_a == 0:
+                if delta != 0:
+                    continue  # two fixed words that never alias
+                # One fixed word, touched by every iteration: program
+                # order within an iteration, and b before the next
+                # iteration's a (later iterations follow transitively).
+                pairs = [(a, b, 0), (b, a, 1)]
+            elif delta % stride_a != 0:
                 continue  # the two streams never touch the same word
-            d = delta // stride_a
-            if d > 0:
-                src, dst, distance = a, b, d
-            elif d < 0:
-                src, dst, distance = b, a, -d
             else:
-                # Same address, same iteration: program order decides
-                # (a precedes b by construction of the access list).
-                if a.ref.node_id is not None and a.ref.node_id == b.ref.node_id:
+                d = delta // stride_a
+                if d > 0:
+                    pairs = [(a, b, d)]
+                elif d < 0:
+                    pairs = [(b, a, -d)]
+                elif a.ref.node_id is not None and a.ref.node_id == b.ref.node_id:
                     continue  # one CSE-merged load
-                src, dst, distance = a, b, 0
-            kind = (
-                "output"
-                if src.is_write and dst.is_write
-                else "flow"
-                if src.is_write
-                else "anti"
-            )
-            key = (id(src.ref), id(dst.ref), distance, kind)
-            if key in seen:
-                continue
-            seen.add(key)
-            deps.append(
-                MemDep(src=src.ref, dst=dst.ref, distance=distance, kind=kind)
-            )
+                else:
+                    # Same address, same iteration: program order decides
+                    # (a precedes b by construction of the access list).
+                    pairs = [(a, b, 0)]
+            for src, dst, distance in pairs:
+                kind = (
+                    "output"
+                    if src.is_write and dst.is_write
+                    else "flow"
+                    if src.is_write
+                    else "anti"
+                )
+                key = (id(src.ref), id(dst.ref), distance, kind)
+                if key in seen:
+                    continue
+                seen.add(key)
+                deps.append(
+                    MemDep(src=src.ref, dst=dst.ref, distance=distance, kind=kind)
+                )
     return deps

@@ -17,7 +17,12 @@ agree bit for bit:
    code's live-in register moduli.
 
 Links 2 and 3 read the same simulation: the emitted code runs once per
-differential, and that one run is compared with both references.
+differential, and that one run is compared with both references.  Links
+1 and 3 share one source execution too whenever the code's live-in
+moduli leave every pre-loop scalar instance unchanged (see
+:func:`~repro.frontend.reference.moduli_keep_live_ins`): link 3 then
+reads that execution at the effective trip count, and link 1 reads it
+at the requested one.
 
 Link 3 has one structural caveat: the simulator materializes live-in
 registers as functions of the *final-graph* value that owns the
@@ -37,11 +42,12 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.codegen.emitter import GeneratedCode
 from repro.core.result import ScheduleResult
 from repro.errors import FrontendError
 from repro.exec.cache import ResultCache
 from repro.frontend.lower import LoweredKernel
-from repro.frontend.reference import SourceInterpreter
+from repro.frontend.reference import SourceInterpreter, moduli_keep_live_ins
 from repro.graph.ddg import DepKind, DependenceGraph
 from repro.machine.resources import OpKind
 from repro.sim.differential import (
@@ -139,6 +145,7 @@ def run_source_differential(
     iterations: int,
     *,
     cache: ResultCache | bool | None = None,
+    code: GeneratedCode | None = None,
 ) -> SourceDifferentialReport:
     """Run all three differential links for one scheduled kernel.
 
@@ -147,43 +154,33 @@ def run_source_differential(
             must be the pristine graph the schedule was produced from).
         schedule: a converged schedule of that graph.
         iterations: requested trip count; the emitted pipeline may
-            round it up to whole kernel passes, and every comparison
-            uses the effective count.
+            round it up to whole kernel passes, and links 2 and 3 use
+            the effective count.
         cache: memoization selector for the (deterministic) link-2
             report, as accepted by
             :func:`repro.exec.cache.resolve_cache`.  Link 3 needs the
             simulation anyway, so a hit spares it only when link 3 is
             skipped; either way the code is simulated at most once.
+        code: the code already emitted from ``schedule``, when the
+            caller holds it; emitted here otherwise.
     """
     if schedule.graph is None:
         raise FrontendError(
             f"{lowered.name}: schedule carries no final graph to validate"
         )
     names = {node.id: node.name for node in lowered.graph.nodes()}
-
-    # Link 1: source semantics vs the lowered graph, exact live-ins.
-    source = SourceInterpreter(lowered).run(iterations)
-    reference = ReferenceInterpreter(lowered.graph).run(iterations)
-    mismatches = state_mismatches(
-        source.values,
-        source.memory,
-        reference.values,
-        reference.memory,
-        names,
-        prefix="[analysis] ",
-        pair=_PAIR,
-    )
-    analysis_match = not mismatches
+    exact = SourceInterpreter(lowered)
 
     hazards = live_in_hazards(schedule.graph)
     source_match: bool | None = None
     source_mismatches: list[str] = []
     if hazards:
         # Link 2 alone; link 3 is skipped on renamed live-ins.
-        emitted = run_differential(schedule, iterations, cache=cache)
+        emitted = run_differential(schedule, iterations, cache=cache, code=code)
+        source = exact.run(iterations)
     else:
         # One simulation of the emitted code serves links 2 and 3.
-        simulator = VliwSimulator(schedule)
+        simulator = VliwSimulator(schedule, code)
         run = simulator.run(iterations)
         emitted = memoized_report(
             schedule,
@@ -191,11 +188,21 @@ def run_source_differential(
             cache,
             lambda: compare_run(schedule, simulator.code, run),
         )
+        # Link 3 runs the source under the code's live-in moduli.  When
+        # they leave every pre-loop instance as it is, that run is the
+        # exact one continued to the effective count, and one execution
+        # serves links 1 and 3.
+        moduli = live_in_moduli_of_code(simulator.code)
+        effective = run.result.iterations
+        if moduli_keep_live_ins(lowered, moduli):
+            source, source_run = exact.runs(iterations, effective)
+        else:
+            source = exact.run(iterations)
+            source_run = SourceInterpreter(
+                lowered, live_in_moduli=moduli
+            ).run(effective)
         # Link 3: the run restricted to the source's operations and
-        # arrays, against the source under the code's live-in moduli.
-        source_run = SourceInterpreter(
-            lowered, live_in_moduli=live_in_moduli_of_code(simulator.code)
-        ).run(run.result.iterations)
+        # arrays.
         pristine = set(lowered.graph.node_ids())
         arrays = set(lowered.arrays.values())
         source_mismatches = state_mismatches(
@@ -216,6 +223,19 @@ def run_source_differential(
             pair=_PAIR,
         )
         source_match = not source_mismatches
+
+    # Link 1: source semantics vs the lowered graph, exact live-ins.
+    reference = ReferenceInterpreter(lowered.graph).run(iterations)
+    mismatches = state_mismatches(
+        source.values,
+        source.memory,
+        reference.values,
+        reference.memory,
+        names,
+        prefix="[analysis] ",
+        pair=_PAIR,
+    )
+    analysis_match = not mismatches
     # Link 2: emitted code vs the final graph.
     mismatches.extend(f"[emitted] {m}" for m in emitted.mismatches)
     mismatches.extend(source_mismatches)

@@ -107,8 +107,14 @@ class SourceInterpreter:
 
     def run(self, iterations: int) -> ReferenceRun:
         """Execute the source loop for the given number of iterations."""
-        if iterations < 1:
+        return self.runs(iterations)[0]
+
+    def runs(self, *counts: int) -> tuple[ReferenceRun, ...]:
+        """End states after each trip count in ``counts``, in order,
+        from one execution up to the largest of them."""
+        if min(counts) < 1:
             raise ValueError("need at least one iteration")
+        iterations = max(counts)
         kernel = self.lowered.kernel
         loop = kernel.loop
         env = self._initial_env()
@@ -153,6 +159,7 @@ class SourceInterpreter:
                 f"{kernel.name}: cannot interpret {type(expr).__name__}"
             )
 
+        ends: dict[int, ReferenceRun] = {}
         for iteration in range(iterations):
             induction = loop.induction_value(iteration)
             for stmt in kernel.body:
@@ -165,13 +172,39 @@ class SourceInterpreter:
                     assert target.node_id is not None
                     values[(target.node_id, iteration)] = stored
                     memory[self._address(target, induction)] = stored
+            done = iteration + 1
+            if done in counts and done < iterations:
+                ends[done] = ReferenceRun(
+                    loop=self.lowered.name,
+                    iterations=done,
+                    values=dict(values),
+                    memory=dict(memory),
+                )
 
-        return ReferenceRun(
+        ends[iterations] = ReferenceRun(
             loop=self.lowered.name,
             iterations=iterations,
             values=values,
             memory=memory,
         )
+        return tuple(ends[count] for count in counts)
+
+
+def moduli_keep_live_ins(
+    lowered: LoweredKernel, live_in_moduli: dict[int, int]
+) -> bool:
+    """Whether :class:`SourceInterpreter` runs the same with and without
+    ``live_in_moduli``.
+
+    A scalar bound to node ``t`` shifted ``k`` back enters the loop
+    holding instance ``-1 - k``, which a modulus ``m`` maps to itself
+    exactly when ``k < m``; pre-loop instances are read nowhere else.
+    """
+    return all(
+        binding.node_id is None
+        or binding.shift < live_in_moduli.get(binding.node_id, 1)
+        for binding in lowered.scalars.values()
+    )
 
 
 def run_source(lowered: LoweredKernel, iterations: int) -> ReferenceRun:

@@ -168,6 +168,7 @@ def run_differential(
     cache_config: CacheConfig | None = None,
     technology: TechnologyModel | None = None,
     cache: ResultCache | bool | None = None,
+    code: GeneratedCode | None = None,
 ) -> DifferentialReport:
     """Execute both sides and compare their end states (see
     :func:`compare_run`).
@@ -175,12 +176,14 @@ def run_differential(
     ``cache`` memoizes the finished report in the on-disk result cache
     (see :func:`repro.exec.cache.resolve_cache` for the selector
     semantics): both executions are deterministic, so a warm benchmark
-    or CI rerun skips them entirely.
+    or CI rerun skips them entirely.  ``code`` is the code already
+    emitted from ``schedule``, when the caller holds it; it is emitted
+    here otherwise.
     """
 
     def execute() -> DifferentialReport:
         simulator = VliwSimulator(
-            schedule, cache_config=cache_config, technology=technology
+            schedule, code, cache_config=cache_config, technology=technology
         )
         return compare_run(schedule, simulator.code, simulator.run(iterations))
 

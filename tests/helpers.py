@@ -11,14 +11,36 @@ from hypothesis import strategies as st
 
 from repro import DependenceGraph, DepKind, LoopBuilder, MemRef, OpKind, parse_config
 from repro.codegen import GeneratedCode, generate_code
+from repro.codegen.emitter import Instruction, _register_names
+from repro.codegen.mve import modulo_variable_expansion_factor
 from repro.core.result import ScheduleResult
-from repro.errors import SimulationError
+from repro.errors import FrontendError, SimulationError
+from repro.exec.cache import ResultCache
+from repro.frontend.differential import (
+    _PAIR,
+    SourceDifferentialReport,
+    live_in_hazards,
+)
+from repro.frontend.lower import LoweredKernel
+from repro.frontend.reference import SourceInterpreter
 from repro.machine.technology import TechnologyModel
 from repro.memsim.cache import CacheConfig, LockupFreeCache
 from repro.sim import ops
-from repro.sim.reference import ReferenceRun, intra_iteration_order, spill_load_distance
+from repro.sim.differential import (
+    compare_run,
+    memoized_report,
+    run_differential,
+    state_mismatches,
+)
+from repro.sim.reference import (
+    ReferenceInterpreter,
+    ReferenceRun,
+    intra_iteration_order,
+    live_in_moduli_of_code,
+    spill_load_distance,
+)
 from repro.sim.result import SimulationResult, state_digest
-from repro.sim.vliw import SimulationRun, effective_iterations
+from repro.sim.vliw import SimulationRun, VliwSimulator, effective_iterations
 
 UNIFIED = parse_config("1-(GP8M4-REG64)")
 UNIFIED_SMALL = parse_config("1-(GP8M4-REG16)")
@@ -794,3 +816,199 @@ class LegacyReferenceInterpreter:
             values=values,
             memory=memory,
         )
+
+
+# ----------------------------------------------------------------------
+# Pipeline-tail oracles: the per-instance emitter and the two-run source
+# differential that generate_code and run_source_differential replaced,
+# kept verbatim (apart from the names) so every emission and report can
+# be checked against them.
+# ----------------------------------------------------------------------
+
+
+def _legacy_instruction(
+    result: ScheduleResult,
+    node_id: int,
+    stage: int,
+    copy: int,
+    registers: dict[int, list[str]],
+    mve: int,
+) -> Instruction:
+    graph = result.graph
+    assert graph is not None  # generate_code rejects graph-less results
+    node = graph.node(node_id)
+    sources: list[str] = []
+    for edge in graph.in_edges(node_id):
+        if edge.kind is not DepKind.REG:
+            continue
+        # The operand comes from the copy that produced it: `distance`
+        # iterations (hence kernel copies) earlier.
+        source_copy = (copy - edge.distance) % mve
+        sources.append(registers[edge.src][source_copy])
+    for invariant in graph.invariants_of(node_id):
+        sources.append(f"inv:{invariant.name}")
+    dest: str | None = None
+    if node.produces_value and node_id in registers:
+        dest = registers[node_id][copy]
+    return Instruction(
+        node=node_id,
+        mnemonic=node.kind.value,
+        cluster=result.clusters[node_id],
+        stage=stage,
+        copy=copy,
+        dest=dest,
+        sources=tuple(sorted(sources)),
+    )
+
+
+def legacy_generate_code(result: ScheduleResult) -> GeneratedCode:
+    """The emitter that built every (node, stage, copy) instance anew."""
+    assert result.converged and result.graph is not None
+    ii = result.ii
+    mve = modulo_variable_expansion_factor(result)
+    registers, _ = _register_names(result, mve)
+
+    low = min(result.times.values(), default=0)
+    by_slot: dict[tuple[int, int], list[int]] = {}
+    stage_count = 1
+    for node_id, cycle in result.times.items():
+        row = (cycle - low) % ii
+        stage = (cycle - low) // ii
+        stage_count = max(stage_count, stage + 1)
+        by_slot.setdefault((row, stage), []).append(node_id)
+
+    def bundle(row: int, stages: list[tuple[int, int]]) -> list[Instruction]:
+        """Instructions issuing at one cycle: (stage, copy) pairs."""
+        instructions = []
+        for stage, copy in stages:
+            for node_id in sorted(by_slot.get((row, stage), ())):
+                instructions.append(
+                    _legacy_instruction(
+                        result, node_id, stage, copy, registers, mve
+                    )
+                )
+        return instructions
+
+    prologue: list[list[Instruction]] = []
+    for cycle in range(ii * (stage_count - 1)):
+        row = cycle % ii
+        phase = cycle // ii
+        stages = [
+            (phase - i, i % mve) for i in range(phase + 1)
+        ]
+        prologue.append(bundle(row, stages))
+
+    kernel: list[list[Instruction]] = []
+    for copy in range(mve):
+        for row in range(ii):
+            stages = [
+                (stage, (copy - stage + stage_count - 1) % mve)
+                for stage in range(stage_count)
+            ]
+            kernel.append(bundle(row, stages))
+
+    epilogue: list[list[Instruction]] = []
+    for cycle in range(ii * (stage_count - 1)):
+        row = cycle % ii
+        phase = cycle // ii
+        stages = [
+            (stage, (phase - stage + stage_count - 1) % mve)
+            for stage in range(phase + 1, stage_count)
+        ]
+        epilogue.append(bundle(row, stages))
+
+    return GeneratedCode(
+        loop=result.loop,
+        ii=ii,
+        stage_count=stage_count,
+        mve_factor=mve,
+        prologue=prologue,
+        kernel=kernel,
+        epilogue=epilogue,
+        registers=registers,
+    )
+
+
+def legacy_run_source_differential(
+    lowered: LoweredKernel,
+    schedule: ScheduleResult,
+    iterations: int,
+    *,
+    cache: ResultCache | bool | None = None,
+) -> SourceDifferentialReport:
+    """The differential that ran the source interpreter once per link."""
+    if schedule.graph is None:
+        raise FrontendError(
+            f"{lowered.name}: schedule carries no final graph to validate"
+        )
+    names = {node.id: node.name for node in lowered.graph.nodes()}
+
+    # Link 1: source semantics vs the lowered graph, exact live-ins.
+    source = SourceInterpreter(lowered).run(iterations)
+    reference = ReferenceInterpreter(lowered.graph).run(iterations)
+    mismatches = state_mismatches(
+        source.values,
+        source.memory,
+        reference.values,
+        reference.memory,
+        names,
+        prefix="[analysis] ",
+        pair=_PAIR,
+    )
+    analysis_match = not mismatches
+
+    hazards = live_in_hazards(schedule.graph)
+    source_match: bool | None = None
+    source_mismatches: list[str] = []
+    if hazards:
+        # Link 2 alone; link 3 is skipped on renamed live-ins.
+        emitted = run_differential(schedule, iterations, cache=cache)
+    else:
+        # One simulation of the emitted code serves links 2 and 3.
+        simulator = VliwSimulator(schedule)
+        run = simulator.run(iterations)
+        emitted = memoized_report(
+            schedule,
+            iterations,
+            cache,
+            lambda: compare_run(schedule, simulator.code, run),
+        )
+        # Link 3: the run restricted to the source's operations and
+        # arrays, against the source under the code's live-in moduli.
+        source_run = SourceInterpreter(
+            lowered, live_in_moduli=live_in_moduli_of_code(simulator.code)
+        ).run(run.result.iterations)
+        pristine = set(lowered.graph.node_ids())
+        arrays = set(lowered.arrays.values())
+        source_mismatches = state_mismatches(
+            {
+                key: value
+                for key, value in run.values.items()
+                if key[0] in pristine
+            },
+            {
+                address: value
+                for address, value in run.memory.items()
+                if (address >> 24) in arrays
+            },
+            source_run.values,
+            source_run.memory,
+            names,
+            prefix="[source] ",
+            pair=_PAIR,
+        )
+        source_match = not source_mismatches
+    # Link 2: emitted code vs the final graph.
+    mismatches.extend(f"[emitted] {m}" for m in emitted.mismatches)
+    mismatches.extend(source_mismatches)
+
+    return SourceDifferentialReport(
+        kernel=lowered.name,
+        machine=schedule.machine.name,
+        iterations=emitted.iterations,
+        analysis_match=analysis_match,
+        emitted_match=emitted.match,
+        source_match=source_match,
+        hazards=hazards,
+        mismatches=tuple(mismatches),
+    )

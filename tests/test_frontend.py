@@ -51,7 +51,7 @@ from repro.frontend.reference import SourceInterpreter
 from repro.sim.differential import MAX_REPORTED
 from repro.sim.reference import ReferenceInterpreter
 
-from tests.helpers import FOUR_CLUSTER, UNIFIED
+from tests.helpers import FOUR_CLUSTER, UNIFIED, legacy_run_source_differential
 
 MACHINES = (UNIFIED, FOUR_CLUSTER)
 
@@ -79,6 +79,23 @@ def _subscripts(kernel):
         for node in walk_expr(stmt.expr):
             if isinstance(node, Subscript):
                 yield node
+
+
+@pytest.fixture
+def emissions(monkeypatch):
+    """The loops generate_code is called for, however the caller
+    imported it: every emission resolves its register names once."""
+    import repro.codegen.emitter as emitter
+
+    calls: list[str] = []
+    real = emitter._register_names
+
+    def counting(result, mve):
+        calls.append(result.loop)
+        return real(result, mve)
+
+    monkeypatch.setattr(emitter, "_register_names", counting)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +375,32 @@ class TestAnalysis:
                 """
             ))
 
+    def test_constant_subscript_is_a_reduction_into_memory(self):
+        """Stride 0: one word in every iteration, so the read precedes
+        the write in its iteration and the write precedes the next
+        iteration's read."""
+        deps = memory_dependences(one_kernel(
+            """
+            def k(a, b, n):
+                for i in range(n):
+                    a[0] = a[0] + b[i]
+            """
+        ))
+        assert sorted((d.kind, d.distance) for d in deps) == [
+            ("anti", 0),
+            ("flow", 1),
+        ]
+
+    def test_different_constant_subscripts_never_alias(self):
+        deps = memory_dependences(one_kernel(
+            """
+            def k(a, b, n):
+                for i in range(n):
+                    a[1] = a[0] + b[i]
+            """
+        ))
+        assert deps == []
+
 
 # ----------------------------------------------------------------------
 # Lowering
@@ -565,7 +608,7 @@ class TestEndToEnd:
                 f"{lowered.name}: {diff.summary()}"
             )
 
-    def test_frontend_rows_driver(self):
+    def test_frontend_rows_driver(self, emissions):
         from repro.eval.experiments import frontend_rows
 
         headers, rows, note = frontend_rows(
@@ -581,6 +624,7 @@ class TestEndToEnd:
         # The RecMII column is the analyzed one: ewma2 reads 4.
         ewma_row = next(row for row in rows if row[1] == "ewma2")
         assert ewma_row[headers.index("RecMII")] == 4
+        assert emissions == ["saxpy", "ewma2"]  # one per pair
 
 
 def scheduled_kernel(name: str):
@@ -600,12 +644,14 @@ class TestSourceDifferentialRuns:
         import repro.frontend.differential as differential
 
         class Corrupted(SourceInterpreter):
-            def run(self, iterations):
-                run = super().run(iterations)
+            def runs(self, *counts):
+                # The first run is link 1's: the requested count.
+                runs = super().runs(*counts)
+                run = runs[0]
                 for key in sorted(run.values)[:20]:
                     run.values[key] += 1
                 run.memory[min(run.memory)] += 1
-                return run
+                return runs
 
         monkeypatch.setattr(differential, "SourceInterpreter", Corrupted)
         lowered, result = scheduled_kernel("saxpy")
@@ -707,6 +753,122 @@ class TestSourceDifferentialRuns:
         assert any(m.startswith("[source] value of") for m in diff.mismatches)
 
 
+#: A kernel outside the corpus whose constant subscripts touch one word
+#: in every iteration (a reduction into memory) next to another word.
+CONSTANT_SUBSCRIPTS = """
+def accumulate(a, b, n):
+    for i in range(n):
+        a[0] = a[0] + b[i]
+        a[1] = a[0] * b[i]
+"""
+
+
+class TestConstantSubscripts:
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    def test_schedules_certifies_and_matches(self, machine):
+        lowered = lower_kernel(one_kernel(CONSTANT_SUBSCRIPTS))
+        carried = {
+            (edge.src, edge.dst)
+            for edge in lowered.graph.edges()
+            if edge.kind is DepKind.MEM and edge.distance == 1
+        }
+        # The store feeds the next iteration's first load, and the
+        # second load precedes the next iteration's store.
+        assert len(carried) == 2
+        result = ScheduleRequest().make_scheduler(machine).schedule(
+            lowered.graph.clone()
+        )
+        assert result.converged
+        code = generate_code(result)
+        assert certify_code(code, result).ok
+        diff = run_source_differential(
+            lowered, result, 24, cache=False, code=code
+        )
+        assert diff.hazards == ()
+        assert diff.match and diff.source_match is True, diff.summary()
+
+
+# ----------------------------------------------------------------------
+# One source run for links 1 and 3, one emission per pair
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=MACHINES, ids=lambda m: m.name)
+def corpus_schedules(request):
+    scheduler = ScheduleRequest().make_scheduler(request.param)
+    return [
+        (lowered, scheduler.schedule(lowered.graph.clone()))
+        for lowered in load_corpus()
+    ]
+
+
+class TestSharedSourceRun:
+    @pytest.mark.parametrize("hazard", (False, True), ids=("inert", "hazard"))
+    def test_reports_match_the_two_run_oracle(
+        self, corpus_schedules, monkeypatch, hazard
+    ):
+        import repro.frontend.differential as differential
+
+        import tests.helpers as helpers
+
+        if hazard:
+            for module in (differential, helpers):
+                monkeypatch.setattr(
+                    module, "live_in_hazards", lambda graph: ("renamed",)
+                )
+        for lowered, result in corpus_schedules:
+            for iterations in (1, 7, 24, 40, 100):
+                new = run_source_differential(
+                    lowered, result, iterations, cache=False
+                )
+                old = legacy_run_source_differential(
+                    lowered, result, iterations, cache=False
+                )
+                assert repr(new) == repr(old), (lowered.name, iterations)
+                assert new.match, new.summary()
+
+    def test_one_source_run_unless_a_modulus_moves_a_live_in(
+        self, corpus_schedules, monkeypatch
+    ):
+        runs: list[tuple[int, ...]] = []
+        real_runs = SourceInterpreter.runs
+
+        def counting_runs(self, *counts):
+            runs.append(counts)
+            return real_runs(self, *counts)
+
+        monkeypatch.setattr(SourceInterpreter, "runs", counting_runs)
+        twice = []
+        for lowered, result in corpus_schedules:
+            runs.clear()
+            diff = run_source_differential(lowered, result, 24, cache=False)
+            assert diff.source_match is True, diff.summary()
+            assert len(runs) in (1, 2)
+            if len(runs) == 2:
+                twice.append(lowered.name)
+        # ewma2's distance-2 scalar enters the loop as instance -2, which
+        # a single live-in register collapses onto -1.
+        assert twice == ["ewma2"]
+
+    def test_runs_reads_each_count_from_one_execution(self):
+        lowered = load_kernel("prefix")
+        short, long = SourceInterpreter(lowered).runs(7, 20)
+        assert short == run_source(lowered, 7)
+        assert long == run_source(lowered, 20)
+
+
+def test_optimality_rows_driver_emits_once_per_pair(emissions):
+    from repro.eval.experiments import optimality_rows
+
+    headers, rows, _ = optimality_rows(
+        session=SuiteExecutor(cache=False),
+        loops=[load_kernel("saxpy"), load_kernel("dot")],
+        iterations=12,
+    )
+    assert [row[headers.index("validated")] for row in rows] == ["ok", "ok"]
+    assert emissions == ["saxpy", "dot"]
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -755,7 +917,7 @@ class TestFrontendCli:
         assert main(["frontend", "show", "no_such_kernel.py"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_frontend_run_two_kernels(self, capsys):
+    def test_frontend_run_two_kernels(self, capsys, emissions):
         from repro.cli import main
 
         assert main(
@@ -765,3 +927,4 @@ class TestFrontendCli:
         out = capsys.readouterr().out
         assert "2/2 kernels validated" in out
         assert "match" in out
+        assert emissions == ["saxpy", "ewma2"]  # one per pair

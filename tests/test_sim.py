@@ -42,6 +42,7 @@ from tests.helpers import (
     LegacyVliwSimulator,
     daxpy,
     legacy_evaluate,
+    legacy_generate_code,
     random_graph,
     reduction,
 )
@@ -440,6 +441,68 @@ class TestPlanOracle:
             SimulationError, match="unknown invariant operand 'inv:nowhere'"
         ):
             VliwSimulator(result, code=code).run(8)
+
+
+# ----------------------------------------------------------------------
+# The emitter vs the per-instance emitter it replaced
+# ----------------------------------------------------------------------
+
+
+def assert_emission_matches_oracle(result):
+    """generate_code emits exactly what the per-instance emitter did:
+    every bundle, the listing and the register map."""
+    new = generate_code(result)
+    old = legacy_generate_code(result)
+    assert new.render() == old.render(), result.loop
+    assert new.registers == old.registers, result.loop
+    assert (new.prologue, new.kernel, new.epilogue) == (
+        old.prologue, old.kernel, old.epilogue
+    ), result.loop
+    return new
+
+
+class TestEmitterOracle:
+    def test_workbench(self, workbench_schedules):
+        for result in workbench_schedules:
+            if result.converged:
+                assert_emission_matches_oracle(result)
+
+    @pytest.mark.parametrize("machine", (UNIFIED, FOUR_CLUSTER),
+                             ids=lambda m: m.name)
+    def test_corpus(self, machine):
+        scheduler = ScheduleRequest().make_scheduler(machine)
+        for lowered in load_corpus():
+            assert_emission_matches_oracle(
+                scheduler.schedule(lowered.graph.clone())
+            )
+
+    def test_random_graphs(self):
+        for seed in range(6):
+            assert_emission_matches_oracle(
+                MirsC(FOUR_CLUSTER_TIGHT).schedule(random_graph(seed, size=9))
+            )
+
+    def test_spills_and_invariant_moves(self):
+        stencil = next(
+            loop for loop in cached_suite(16) if loop.graph.name == "stencil629"
+        )
+        result = MirsC(FOUR_CLUSTER_TIGHT).schedule(stencil.graph.clone())
+        nodes = list(result.graph.nodes())
+        assert any(node.is_spill for node in nodes)
+        assert any(node.move_of_invariant is not None for node in nodes)
+        code = assert_emission_matches_oracle(result)
+        assert code.mve_factor > 1 and code.stage_count > 1
+
+    def test_instances_are_shared_across_sections(self):
+        """One instruction object per (node, copy), whatever section
+        issues it."""
+        result = MirsC(UNIFIED).schedule(daxpy())
+        code = generate_code(result)
+        assert code.stage_count > 1
+        instances = {}
+        for inst in code.all_instructions():
+            assert instances.setdefault((inst.node, inst.copy), inst) is inst
+        assert len(instances) == len(result.times) * code.mve_factor
 
 
 class TestStateMismatches:
