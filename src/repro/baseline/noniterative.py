@@ -21,19 +21,14 @@ from __future__ import annotations
 import time
 
 from repro.core.params import MirsParams, max_ii_for
-from repro.core.result import ScheduleResult
+from repro.core.result import ScheduleResult, allocate, finish, unconverged
 from repro.core.state import SchedulerState
-from repro.core.verify import verify_schedule
 from repro.cluster.moves import add_move, next_needed_move
 from repro.cluster.selection import select_cluster
-from repro.errors import SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.graph.mii import compute_mii
 from repro.machine.config import MachineConfig
-from repro.machine.resources import OpKind
 from repro.order.hrms import hrms_order
-from repro.schedule.lifetimes import LifetimeAnalysis
-from repro.schedule.regalloc import allocate_registers
 from repro.schedule.slots import dependence_window, find_free_slot
 
 
@@ -69,15 +64,13 @@ class NonIterativeScheduler:
             restarts += 1
             ii += 1
         # Genuine non-convergence (the "Not Cnvr" column of Table 2).
-        return ScheduleResult(
-            loop=pristine.name,
-            machine=self.machine,
-            converged=False,
+        return unconverged(
+            pristine,
+            self.machine,
             ii=limit,
             mii=mii,
+            seconds=time.perf_counter() - started,
             restarts=restarts,
-            scheduling_seconds=time.perf_counter() - started,
-            trip_count=pristine.trip_count,
         )
 
     # ------------------------------------------------------------------
@@ -108,7 +101,7 @@ class NonIterativeScheduler:
                     return None
             if not self._place(state, node, cluster):
                 return None
-        if not self._fits_registers(state):
+        if not state.fits_registers():
             return None
         return state
 
@@ -127,23 +120,6 @@ class NonIterativeScheduler:
         state.stats.nodes_scheduled += 1
         return True
 
-    def _fits_registers(self, state: SchedulerState) -> bool:
-        available = state.machine.cluster.registers
-        if available is None:
-            return True
-        # MaxLive never exceeds the allocation, so the state's live
-        # pressure tracker rejects over-budget attempts without running
-        # the allocator (same short-circuit as MIRS-C's final check).
-        if any(
-            live > available
-            for live in state.pressure.max_live_all().values()
-        ):
-            return False
-        return all(
-            used <= available
-            for used in state.colouring.registers_used_all().values()
-        )
-
     # ------------------------------------------------------------------
 
     def _finalize(
@@ -153,47 +129,16 @@ class NonIterativeScheduler:
         restarts: int,
         elapsed: float,
     ) -> ScheduleResult:
-        graph = state.graph
-        schedule = state.schedule
         # The result keeps the graph; stop observing it so the tracker
         # (and the whole partial schedule) are not retained with it.
         state.pressure.detach()
-        analysis = LifetimeAnalysis(graph, schedule, state.machine)
-        allocations = allocate_registers(
-            graph, schedule, state.machine, analysis
-        )
-        times = {n: schedule.time(n) for n in schedule.scheduled_ids()}
-        clusters = {n: schedule.cluster(n) for n in schedule.scheduled_ids()}
-        register_usage = {c: a.registers_used for c, a in allocations.items()}
-        result = ScheduleResult(
-            loop=graph.name,
-            machine=state.machine,
-            converged=True,
-            ii=state.ii,
+        times, clusters = state.schedule.placements()
+        return finish(
+            "[31]",
+            allocate(state.graph, state.machine, state.ii, times, clusters),
             mii=mii,
-            times=times,
-            clusters=clusters,
-            register_usage=register_usage,
-            max_live={
-                c: analysis.max_live(c)
-                for c in range(state.machine.clusters)
-            },
-            memory_traffic=state.memory_operation_count(),
-            spill_operations=0,
-            move_operations=graph.count_kind(OpKind.MOVE),
-            stage_count=max(1, schedule.stage_count()),
             restarts=restarts,
-            scheduling_seconds=elapsed,
+            memory_traffic=state.memory_operation_count(),
             stats=state.stats,
-            graph=graph,
-            trip_count=graph.trip_count,
+            seconds=elapsed,
         )
-        violations = verify_schedule(
-            graph, state.machine, state.ii, times, clusters, register_usage
-        )
-        if violations:
-            raise SchedulingError(
-                f"[31] produced an invalid schedule for {graph.name}: "
-                + "; ".join(violations[:5])
-            )
-        return result

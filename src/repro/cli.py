@@ -58,7 +58,7 @@ from repro import (
 )
 from repro.core.params import MirsParams
 from repro.core.request import ScheduleRequest
-from repro.errors import FrontendError
+from repro.errors import ConvergenceError, FrontendError
 from repro.core.search import POLICIES
 from repro.eval.experiments import figure2_rows
 from repro.eval.pretty import format_kernel
@@ -192,13 +192,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     machine = parse_config(
         args.config, move_latency=args.move_latency, buses=args.buses
     )
+    request = _request_from(args)
     try:
-        graph = _loop_graph(args)
-    except FrontendError as error:
+        result = request.make_scheduler(machine).schedule(_loop_graph(args))
+    except (FrontendError, ConvergenceError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    request = _request_from(args)
-    result = request.make_scheduler(machine).schedule(graph)
     print(format_kernel(result))
     print()
     print(result.summary())
@@ -220,13 +219,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     machine = parse_config(
         args.config, move_latency=args.move_latency, buses=args.buses
     )
+    request = _request_from(args)
     try:
-        graph = _loop_graph(args)
-    except FrontendError as error:
+        result = request.make_scheduler(machine).schedule(_loop_graph(args))
+    except (FrontendError, ConvergenceError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    request = _request_from(args)
-    result = request.make_scheduler(machine).schedule(graph)
     # None: the environment decides (REPRO_CACHE_DIR opts in, as for
     # plain library calls elsewhere).
     report = run_differential(result, args.iterations, cache=None)

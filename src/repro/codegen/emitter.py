@@ -9,8 +9,9 @@ of an SC-stage schedule appears ``SC - 1 - s`` times in the prologue,
 once per kernel copy, and ``s`` times in the epilogue - the invariant the
 tests pin down.
 
-Registers are assigned with the wrap-around allocator of
-:mod:`repro.schedule.regalloc`; expanded values get one architectural
+Registers come from the allocation the scheduler stored on the result
+(:func:`repro.core.result.allocate`, the wrap-around allocator of
+:mod:`repro.schedule.regalloc`); expanded values get one architectural
 register per kernel copy (``r7.k1`` denotes copy 1's instance).  Copy
 labels follow one global convention: iteration ``j`` owns copy
 ``j % K`` in the prologue, the kernel and the epilogue alike, so a
@@ -32,9 +33,6 @@ from repro.codegen.mve import modulo_variable_expansion_factor
 from repro.env import env_flag
 from repro.errors import CertificationError, CodegenError
 from repro.graph.ddg import DepKind
-from repro.schedule.lifetimes import LifetimeAnalysis
-from repro.schedule.partial import PartialSchedule
-from repro.schedule.regalloc import allocate_registers
 
 #: Environment knob: any non-empty value turns every
 #: :func:`generate_code` call into a self-certifying one (the static
@@ -120,10 +118,9 @@ class GeneratedCode:
         return "\n".join(lines)
 
 
-def _register_names(
-    result: ScheduleResult, mve: int
-) -> tuple[dict[int, list[str]], dict[int, int]]:
-    """value id -> register name per kernel copy, plus per-cluster usage.
+def _register_names(result: ScheduleResult, mve: int) -> dict[int, list[str]]:
+    """value id -> register name per kernel copy, from the result's
+    allocation.
 
     Values consumed at an iteration distance >= 1 are *live-in exposed*:
     during the pipeline fill their consumers read the register before
@@ -131,58 +128,44 @@ def _register_names(
     hold the live-in from loop entry.  The wrap-around allocator colours
     only steady-state arcs and may share such a register with another
     value whose writes would clobber the live-in, so exposed values that
-    are not modulo-expanded get a dedicated register here instead (the
-    small overshoot past the allocator's count mirrors the preheader
-    live-in setup the paper's register model does not charge for).
+    are not modulo-expanded get a dedicated register here instead,
+    numbered past the cluster's allocated count (the small overshoot
+    mirrors the preheader live-in setup the paper's register model does
+    not charge for).
     """
     graph = result.graph
     assert graph is not None  # generate_code rejects graph-less results
-    machine = result.machine
-    # Times and clusters are all the lifetimes and the allocator read;
-    # re-reserving the MRT here could reject a verified schedule.
-    schedule = PartialSchedule.from_placements(
-        machine, result.ii, result.times, result.clusters
-    )
-    analysis = LifetimeAnalysis(graph, schedule, machine)
-    allocations = allocate_registers(graph, schedule, machine, analysis)
-    lifetime_of = {lt.value: lt for lt in analysis.lifetimes}
+    clusters = result.clusters
     exposed = {
         edge.src
         for edge in graph.edges()
         if edge.kind is DepKind.REG and edge.distance >= 1
     }
-
+    next_dedicated = dict(result.register_usage)
     names: dict[int, list[str]] = {}
-    usage: dict[int, int] = {}
-    for cluster, allocation in allocations.items():
-        next_dedicated = allocation.registers_used
-        for value, registers in sorted(allocation.assignment.items()):
-            # Base register for the name: the first assigned register is
-            # a dedicated (per-value unique) one whenever the lifetime
-            # spans a full II, and the shared arc colour only for short
-            # lifetimes.  Expanded values must never base their ``.k``
-            # copies on the shared arc register: two expanded values may
-            # legitimately share an arc colour, but their renamed copies
-            # would then collide name-for-name.
-            base = registers[0] if registers else 0
-            lifetime = lifetime_of.get(value)
-            expanded = (
-                lifetime is not None and lifetime.length > result.ii and mve > 1
-            )
-            if expanded:
-                names[value] = [
-                    f"c{cluster}:r{base}.k{copy}" for copy in range(mve)
-                ]
-            elif value in exposed:
-                names[value] = [f"c{cluster}:r{next_dedicated}"] * mve
-                next_dedicated += 1
-            else:
-                names[value] = [f"c{cluster}:r{base}"] * mve
-        # Feasibility is judged on the allocator's own count: the
-        # live-in dedication above is preheader territory and is not
-        # charged against the register file.
-        usage[cluster] = allocation.registers_used
-    return names, usage
+    for value, registers in sorted(
+        result.value_registers.items(),
+        key=lambda item: (clusters[item[0]], item[0]),
+    ):
+        cluster = clusters[value]
+        # Base register for the name: the first assigned register is a
+        # dedicated (per-value unique) one whenever the lifetime spans a
+        # full II, and the shared arc colour only for short lifetimes.
+        # Expanded values must never base their ``.k`` copies on the
+        # shared arc register: two expanded values may legitimately
+        # share an arc colour, but their renamed copies would then
+        # collide name-for-name.
+        base = registers[0]
+        if mve > 1 and result.lifetimes[value] > result.ii:
+            names[value] = [
+                f"c{cluster}:r{base}.k{copy}" for copy in range(mve)
+            ]
+        elif value in exposed:
+            names[value] = [f"c{cluster}:r{next_dedicated[cluster]}"] * mve
+            next_dedicated[cluster] += 1
+        else:
+            names[value] = [f"c{cluster}:r{base}"] * mve
+    return names
 
 
 def _instances(
@@ -254,21 +237,13 @@ def generate_code(result: ScheduleResult) -> GeneratedCode:
         CertificationError: under ``REPRO_STATIC_CERTIFY=1``, when the
             emitted code fails static certification.
     """
-    if not result.converged or result.graph is None:
-        raise CodegenError(
-            f"code generation needs a converged schedule; "
-            f"loop {result.loop!r} did not converge",
-            loop=result.loop,
-            kind="not-converged",
-        )
+    mve = modulo_variable_expansion_factor(result)  # rejects unconverged
     ii = result.ii
-    mve = modulo_variable_expansion_factor(result)
-    registers, register_usage = _register_names(result, mve)
     available = result.machine.cluster.registers
     if available is not None:
         over = {
             cluster: used
-            for cluster, used in sorted(register_usage.items())
+            for cluster, used in sorted(result.register_usage.items())
             if used > available
         }
         if over:
@@ -282,6 +257,7 @@ def generate_code(result: ScheduleResult) -> GeneratedCode:
                 loop=result.loop,
                 kind="register-infeasible",
             )
+    registers = _register_names(result, mve)
 
     low = min(result.times.values(), default=0)
     # (row, stage) -> per kernel copy, the instructions of that slot in

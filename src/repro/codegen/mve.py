@@ -10,19 +10,23 @@ Lam.  The minimum unroll factor is::
     K = max over values v of ceil(lifetime(v) / II)
 
 Each kernel copy then renames every expanded value's register with the
-copy index.
+copy index.  A value's lifetime runs from its definition to its last
+use (or to the end of its producer's latency, when later): the
+:class:`~repro.schedule.lifetimes.ValueLifetime` of the register
+allocator, whose lengths every converged result carries.
 """
 
 from __future__ import annotations
 
 from repro.core.result import ScheduleResult
 from repro.errors import CodegenError
-from repro.graph.ddg import DepKind
-from repro.graph.latency import node_latency
 
 
-def value_lifetimes(result: ScheduleResult) -> dict[int, int]:
-    """Lifetime length (cycles) of every value in a converged schedule.
+def modulo_variable_expansion_factor(result: ScheduleResult) -> int:
+    """The minimum kernel unroll factor K (1 when no value outlives II).
+
+    Reads the lifetime lengths the scheduler stored on the result with
+    its register allocation (:func:`repro.core.result.allocate`).
 
     Raises:
         CodegenError: (kind ``"not-converged"``) when the schedule has
@@ -35,27 +39,5 @@ def value_lifetimes(result: ScheduleResult) -> dict[int, int]:
             loop=result.loop,
             kind="not-converged",
         )
-    graph = result.graph
     ii = result.ii
-    lengths: dict[int, int] = {}
-    for node in graph.nodes():
-        if not node.produces_value:
-            continue
-        start = result.times[node.id]
-        end = start + node_latency(node, result.machine)
-        for edge in graph.out_edges(node.id):
-            if edge.kind is not DepKind.REG:
-                continue
-            use = result.times[edge.dst] + ii * edge.distance
-            end = max(end, use)
-        lengths[node.id] = end - start
-    return lengths
-
-
-def modulo_variable_expansion_factor(result: ScheduleResult) -> int:
-    """The minimum kernel unroll factor K (1 when no value outlives II)."""
-    lifetimes = value_lifetimes(result)
-    if not lifetimes:
-        return 1
-    ii = result.ii
-    return max(1, max(-(-length // ii) for length in lifetimes.values()))
+    return max([1, *(-(-length // ii) for length in result.lifetimes.values())])

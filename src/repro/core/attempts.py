@@ -117,10 +117,12 @@ class AttemptTask:
 class FeasibleState:
     """The serializable remains of a successful attempt.
 
-    Carries exactly what :meth:`repro.core.mirsc.MirsC._finalize` needs:
-    the mutated graph (spills and moves included), the complete partial
-    schedule, the spilled-invariant markers, the attempt's counters and
-    the incremental memory-operation count.  The live
+    Carries exactly what :meth:`repro.core.mirsc.MirsC._finalize` hands
+    the shared finishing path (:func:`repro.core.result.allocate` and
+    :func:`repro.core.result.finish`): the mutated graph (spills and
+    moves included), the complete partial schedule, the
+    spilled-invariant markers, the attempt's counters and the
+    incremental memory-operation count.  The live
     :class:`~repro.schedule.pressure.PressureTracker` is detached before
     capture, so the object pickles cleanly across process boundaries.
     """
@@ -259,7 +261,7 @@ class AttemptEngine:
                 # allocation, then spill/balance/eject until it fits.
                 acted = self._checked_spill(state, final=True)
                 if state.pl.empty():
-                    if self._fits_registers(state):
+                    if state.fits_registers():
                         return state, self._outcome(
                             state, OutcomeKind.SCHEDULED, final_rounds
                         )
@@ -496,28 +498,6 @@ class AttemptEngine:
                 if consumer_time - start - latency + ii * edge.distance < 0:
                     state.eject_node(consumer_id)
                     break
-
-    # ------------------------------------------------------------------
-
-    def _fits_registers(self, state: SchedulerState) -> bool:
-        available = state.machine.cluster.registers
-        if available is None:
-            return True
-        # MaxLive is a lower bound on the allocation (the colouring
-        # never beats it), so an over-budget cluster fails without
-        # running the allocator; the exact colouring only arbitrates the
-        # fitting side (footnote 2: MaxLive occasionally underestimates).
-        if any(
-            live > available
-            for live in state.pressure.max_live_all().values()
-        ):
-            return False
-        # Per-cluster counts from the colouring engine's caches (only
-        # clusters whose lifetimes changed recolour).
-        return all(
-            used <= available
-            for used in state.colouring.registers_used_all().values()
-        )
 
 
 # ----------------------------------------------------------------------

@@ -43,22 +43,17 @@ from __future__ import annotations
 
 import time
 
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, SchedulingError
 from repro.core.attempts import SearchResult, SpeculativeSearchDriver
 from repro.core.params import MirsParams, max_ii_for
-from repro.core.result import ScheduleResult
+from repro.core.result import ScheduleResult, allocate, finish, unconverged
 from repro.core.state import SchedulerStats
-from repro.core.verify import verify_schedule
 from repro.graph.ddg import DependenceGraph
 from repro.graph.mii import compute_mii
 from repro.machine.config import MachineConfig
-from repro.machine.resources import OpKind
 from repro.obs import resolve_tracer
 from repro.obs.metrics import outcome_histogram
 from repro.order.hrms import hrms_order
-from repro.schedule.lifetimes import LifetimeAnalysis
-from repro.schedule.regalloc import allocate_registers
-from repro.errors import SchedulingError
 
 
 class MirsC:
@@ -209,18 +204,16 @@ class MirsC:
                 highest_ii=highest_ii,
                 kind_histogram=histogram,
             )
-        return ScheduleResult(
-            loop=pristine.name,
-            machine=self.machine,
-            converged=False,
+        return unconverged(
+            pristine,
+            self.machine,
             ii=limit,
             mii=mii,
+            seconds=elapsed,
             restarts=len(path_iis),
-            scheduling_seconds=elapsed,
             stats=SchedulerStats(
                 search_trace=found.executed, search=found.stats
             ),
-            trip_count=pristine.trip_count,
         )
 
     # ------------------------------------------------------------------
@@ -236,67 +229,28 @@ class MirsC:
             if tracer.enabled
             else None
         )
-        graph = feasible.graph
-        schedule = feasible.schedule
         stats = feasible.stats
         stats.search_trace = found.executed
         stats.search = found.stats
-        # Batch role: the result is summarised with a from-scratch
-        # analysis (the live pressure tracker was already detached when
-        # the feasible state was captured).
-        analysis = LifetimeAnalysis(
-            graph, schedule, self.machine,
-            spilled_invariants=feasible.spilled_invariants,
-        )
-        allocations = allocate_registers(
-            graph, schedule, self.machine, analysis,
-            spilled_invariants=feasible.spilled_invariants,
-        )
-        times = {n: schedule.time(n) for n in schedule.scheduled_ids()}
-        clusters = {n: schedule.cluster(n) for n in schedule.scheduled_ids()}
-        register_usage = {
-            c: a.registers_used for c, a in allocations.items()
-        }
-        result = ScheduleResult(
-            loop=graph.name,
-            machine=self.machine,
-            converged=True,
-            ii=feasible.ii,
-            mii=mii,
-            times=times,
-            clusters=clusters,
-            register_usage=register_usage,
-            max_live={
-                c: analysis.max_live(c)
-                for c in range(self.machine.clusters)
-            },
-            memory_traffic=feasible.memory_traffic,
-            spill_operations=sum(
-                1 for n in graph.nodes() if n.is_spill
+        times, clusters = feasible.schedule.placements()
+        result = finish(
+            "MIRS-C",
+            allocate(
+                feasible.graph, self.machine, feasible.ii, times, clusters,
+                feasible.spilled_invariants,
             ),
-            move_operations=graph.count_kind(OpKind.MOVE),
-            stage_count=max(1, schedule.stage_count()),
+            mii=mii,
             # The path attempts that did not produce the accepted schedule
             # (= the failed attempts under linear search).
             restarts=len(found.path) - 1,
-            scheduling_seconds=elapsed,
+            memory_traffic=feasible.memory_traffic,
             stats=stats,
-            graph=graph,
-            trip_count=graph.trip_count,
+            seconds=elapsed,
         )
-        # Every produced schedule is re-validated (cheap).
-        violations = verify_schedule(
-            graph, self.machine, feasible.ii, times, clusters, register_usage
-        )
-        if violations:
-            raise SchedulingError(
-                f"MIRS-C produced an invalid schedule for {graph.name}: "
-                + "; ".join(violations[:5])
-            )
         if finalize_span is not None:
             tracer.end(
                 finalize_span,
-                registers=sum(register_usage.values()),
+                registers=result.total_registers_used,
                 spills=result.spill_operations,
                 moves=result.move_operations,
             )

@@ -1,12 +1,28 @@
-"""Schedule results and derived metrics."""
+"""Schedule results, and the one path that finishes a schedule.
+
+Every scheduler (MIRS-C, the [31] baseline and the exact backend) ends
+the same way: :func:`allocate` runs the batch register allocation of the
+finished placement once (the paper makes allocation part of MIRS-C
+itself, footnote 2), and :func:`finish` turns placement and allocation
+into a converged :class:`ScheduleResult` and re-validates it with
+:func:`~repro.core.verify.verify_schedule`.  A give-up is recorded by
+:func:`unconverged`.  The result carries its allocation, so the code
+emitter and the MVE factor read it instead of re-deriving it.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 
 from repro.core.state import SchedulerStats
+from repro.core.verify import verify_schedule
+from repro.errors import SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.machine.config import MachineConfig
+from repro.machine.resources import OpKind
+from repro.schedule.lifetimes import LifetimeAnalysis
+from repro.schedule.partial import PartialSchedule
+from repro.schedule.regalloc import allocate_registers
 
 
 @dataclasses.dataclass
@@ -24,6 +40,11 @@ class ScheduleResult:
         register_usage: physical registers used per cluster (after
             allocation).
         max_live: MaxLive per cluster.
+        value_registers / lifetimes: the allocation behind
+            ``register_usage`` — per value its register indices (one per
+            overlapped live instance, the shared arc register last) and
+            its lifetime length in cycles.  A function of the graph and
+            the placement, so ``result_fingerprint`` leaves it out.
         memory_traffic: memory operations per iteration, spill included.
         spill_operations: spill loads+stores inserted.
         move_operations: inter-cluster moves in the final schedule.
@@ -45,6 +66,10 @@ class ScheduleResult:
     clusters: dict[int, int] = dataclasses.field(default_factory=dict)
     register_usage: dict[int, int] = dataclasses.field(default_factory=dict)
     max_live: dict[int, int] = dataclasses.field(default_factory=dict)
+    value_registers: dict[int, list[int]] = dataclasses.field(
+        default_factory=dict
+    )
+    lifetimes: dict[int, int] = dataclasses.field(default_factory=dict)
     memory_traffic: int = 0
     spill_operations: int = 0
     move_operations: int = 0
@@ -87,3 +112,150 @@ class ScheduleResult:
             f"spills={self.spill_operations} "
             f"regs={self.register_usage}"
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class Allocation:
+    """A finished placement and its batch register allocation.
+
+    ``overshoot`` maps each cluster whose allocation exceeds the
+    register file to the excess (empty when everything fits); the
+    allocation itself is stored on the result by :func:`finish`.
+    """
+
+    graph: DependenceGraph
+    machine: MachineConfig
+    ii: int
+    times: dict[int, int]
+    clusters: dict[int, int]
+    stage_count: int
+    register_usage: dict[int, int]
+    max_live: dict[int, int]
+    value_registers: dict[int, list[int]]
+    lifetimes: dict[int, int]
+    overshoot: dict[int, int]
+
+
+def allocate(
+    graph: DependenceGraph,
+    machine: MachineConfig,
+    ii: int,
+    times: dict[int, int],
+    clusters: dict[int, int],
+    spilled_invariants: set[tuple[int, int]] = frozenset(),
+) -> Allocation:
+    """Lifetimes and register allocation of a finished placement.
+
+    The allocator numbers registers in lifetime order, so it runs over
+    the placement in node-id order
+    (:meth:`~repro.schedule.partial.PartialSchedule.from_placements`):
+    the numbering is then a function of the times and clusters alone,
+    whatever order the scheduler placed the nodes in.
+    """
+    schedule = PartialSchedule.from_placements(machine, ii, times, clusters)
+    analysis = LifetimeAnalysis(
+        graph, schedule, machine,
+        spilled_invariants=spilled_invariants,
+        collect_segments=False,
+    )
+    allocations = allocate_registers(graph, schedule, machine, analysis)
+    register_usage = {c: a.registers_used for c, a in allocations.items()}
+    available = machine.cluster.registers
+    return Allocation(
+        graph=graph,
+        machine=machine,
+        ii=ii,
+        times=times,
+        clusters=clusters,
+        stage_count=max(1, schedule.stage_count()),
+        register_usage=register_usage,
+        max_live={c: analysis.max_live(c) for c in range(machine.clusters)},
+        value_registers={
+            value: registers
+            for allocation in allocations.values()
+            for value, registers in allocation.assignment.items()
+        },
+        lifetimes={lt.value: lt.length for lt in analysis.lifetimes},
+        overshoot={
+            c: used - available
+            for c, used in register_usage.items()
+            if available is not None and used > available
+        },
+    )
+
+
+def finish(
+    scheduler: str,
+    allocation: Allocation,
+    *,
+    mii: int,
+    restarts: int,
+    memory_traffic: int,
+    stats: SchedulerStats,
+    seconds: float,
+) -> ScheduleResult:
+    """The converged result of an allocated placement, verified.
+
+    Raises:
+        SchedulingError: naming ``scheduler``, when
+            :func:`~repro.core.verify.verify_schedule` finds the
+            schedule invalid.
+    """
+    graph, machine = allocation.graph, allocation.machine
+    violations = verify_schedule(
+        graph, machine, allocation.ii, allocation.times, allocation.clusters,
+        allocation.register_usage,
+    )
+    if violations:
+        raise SchedulingError(
+            f"{scheduler} produced an invalid schedule for {graph.name}: "
+            + "; ".join(violations[:5])
+        )
+    return ScheduleResult(
+        loop=graph.name,
+        machine=machine,
+        converged=True,
+        ii=allocation.ii,
+        mii=mii,
+        times=allocation.times,
+        clusters=allocation.clusters,
+        register_usage=allocation.register_usage,
+        max_live=allocation.max_live,
+        value_registers=allocation.value_registers,
+        lifetimes=allocation.lifetimes,
+        memory_traffic=memory_traffic,
+        spill_operations=sum(1 for n in graph.nodes() if n.is_spill),
+        move_operations=graph.count_kind(OpKind.MOVE),
+        stage_count=allocation.stage_count,
+        restarts=restarts,
+        scheduling_seconds=seconds,
+        stats=stats,
+        graph=graph,
+        trip_count=graph.trip_count,
+    )
+
+
+def unconverged(
+    graph: DependenceGraph,
+    machine: MachineConfig,
+    *,
+    ii: int,
+    mii: int,
+    seconds: float,
+    restarts: int = 0,
+    stats: SchedulerStats | None = None,
+    oracle: dict | None = None,
+) -> ScheduleResult:
+    """The record of a scheduler that gave up on ``graph``."""
+    return ScheduleResult(
+        loop=graph.name,
+        machine=machine,
+        converged=False,
+        ii=ii,
+        mii=mii,
+        restarts=restarts,
+        scheduling_seconds=seconds,
+        stats=SchedulerStats() if stats is None else stats,
+        trip_count=graph.trip_count,
+        oracle=oracle,
+    )

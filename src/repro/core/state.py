@@ -16,9 +16,11 @@ safe (Sections 3.2.2 and 3.3.2):
 
 It also owns the incremental engines every attempt queries: the
 pressure tracker and, whenever the machine has a register limit, the
-arc-colouring engine — the attempt loop's one register-allocator path
-(the batch :func:`~repro.schedule.regalloc.allocate_registers` is its
-oracle and the finalizer's allocator).
+arc-colouring engine — the attempt loop's one register-allocator path,
+read by :meth:`SchedulerState.fits_registers` (the batch
+:func:`~repro.schedule.regalloc.allocate_registers` is its oracle and,
+through :func:`repro.core.result.allocate`, the finished schedule's
+allocator).
 """
 
 from __future__ import annotations
@@ -238,6 +240,28 @@ class SchedulerState:
     def note_memory_node_added(self) -> None:
         """Spill heuristics call this for every load/store they insert."""
         self._mem_ops += 1
+
+    def fits_registers(self) -> bool:
+        """True when every cluster's allocation fits its register file
+        (the drained-regime check of MIRS-C and the [31] baseline)."""
+        available = self.machine.cluster.registers
+        if available is None:
+            return True
+        # MaxLive is a lower bound on the allocation (the colouring
+        # never beats it), so an over-budget cluster fails without
+        # running the allocator; the exact colouring only arbitrates the
+        # fitting side (footnote 2: MaxLive occasionally underestimates).
+        if any(
+            live > available
+            for live in self.pressure.max_live_all().values()
+        ):
+            return False
+        # Per-cluster counts from the colouring engine's caches (only
+        # clusters whose lifetimes changed recolour).
+        return all(
+            used <= available
+            for used in self.colouring.registers_used_all().values()
+        )
 
     def memory_traffic_infeasible(self) -> bool:
         """True when the memory ports cannot sustain the current traffic

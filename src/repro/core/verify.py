@@ -18,7 +18,7 @@ from repro.schedule.mrt import ModuloReservationTable
 from repro.errors import SchedulingError
 
 
-def _instances_assignable(masks: list[int], capacity: int) -> bool:
+def instances_assignable(masks: list[int], capacity: int) -> bool:
     """Exact test: can the row-masks be packed onto ``capacity`` instances?
 
     Each instance may hold any set of pairwise-disjoint masks.  Single-row
@@ -28,7 +28,9 @@ def _instances_assignable(masks: list[int], capacity: int) -> bool:
     first, with symmetric instance states deduplicated.  Problem sizes
     are tiny (<= machine FU count instances, <= II-bit masks), so the
     search is effectively instant; a step budget guards pathological
-    inputs and errs on the conservative (reject) side.
+    inputs and errs on the conservative (reject) side.  The exact
+    backend (:mod:`repro.smt`) shares it, so the verifier and the
+    solvers agree on what fits the instances.
     """
     masks = sorted(masks, key=lambda m: -m.bit_count())
     instances = [0] * capacity
@@ -55,16 +57,6 @@ def _instances_assignable(masks: list[int], capacity: int) -> bool:
         return False
 
     return backtrack(0)
-
-
-def instances_assignable(masks: list[int], capacity: int) -> bool:
-    """Public name of the exact instance-packing test.
-
-    The exact scheduling backend (:mod:`repro.smt`) shares it: both the
-    verifier and the solvers must agree on what "fits the instances"
-    means for multi-row (unpipelined) reservations.
-    """
-    return _instances_assignable(masks, capacity)
 
 
 def verify_schedule(
@@ -173,7 +165,7 @@ def verify_schedule(
                 f"{capacity} instances exist"
             )
             continue
-        if not _instances_assignable([m for _, m in items], capacity):
+        if not instances_assignable([m for _, m in items], capacity):
             violations.append(
                 f"resource conflict: reservations on {resource.name} of "
                 f"{where} admit no conflict-free assignment onto "

@@ -4,8 +4,9 @@ Two analyses run between parsing and lowering:
 
 * **Name classification** (:func:`classify_names`) sorts every name of
   a kernel into exactly one role — induction variable, array, loop
-  scalar (assigned inside the body) or loop invariant (read but never
-  assigned) — and rejects kernels where one name plays two roles.
+  scalar (assigned inside the body) or loop invariant (a kernel
+  parameter read but never assigned) — and rejects kernels where one
+  name plays two roles or reads a name that is neither.
 
 * **Memory dependence analysis** (:func:`memory_dependences`) solves
   the single-subscript dependence equation for every pair of accesses
@@ -143,6 +144,12 @@ def classify_names(kernel: Kernel) -> NameRoles:
     invariants = tuple(
         name for name in read if name not in assigned and name != symbolic
     )
+    for name in invariants:
+        if name not in kernel.params:
+            raise FrontendError(
+                f"{where}: {name!r} is read in the loop body but is "
+                "neither a kernel parameter nor assigned in the body"
+            )
     if symbolic is not None and (
         symbolic in assigned or symbolic in arrays or symbolic in read
     ):

@@ -316,11 +316,13 @@ class PythonAstParser:
             return self._subscript(node, where, var)
         if isinstance(node, ast.BinOp):
             op = self._operator(node.op, where, node.lineno)
-            return BinOp(
-                op=op,
-                left=self._expr(node.left, where, var),
-                right=self._expr(node.right, where, var),
-            )
+            left = self._expr(node.left, where, var)
+            right = self._expr(node.right, where, var)
+            if op == "/" and isinstance(right, Num) and right.value == 0:
+                raise FrontendError(
+                    f"{where}:{node.lineno}: division by the literal zero"
+                )
+            return BinOp(op=op, left=left, right=right)
         if isinstance(node, ast.Call):
             func = node.func
             fname: str | None = None

@@ -14,7 +14,8 @@ The analysis also produces the paper's spill-selection inputs:
   non-spillable prefix covering the producer's latency.
 
 This is the *batch* analysis: it is built once per finished schedule
-(finalisation, register allocation on results) and serves as the
+(by :func:`repro.core.result.allocate`, whose allocation the result
+carries) and serves as the
 reference implementation for the per-placement incremental engine in
 :mod:`repro.schedule.pressure`, which must stay bit-identical to it
 (``PressureTracker.assert_matches_scratch``).  The scheduler's hot path
@@ -288,11 +289,6 @@ class LifetimeAnalysis:
 
     def critical_row(self, cluster: int) -> int:
         return self.pressure[cluster].critical_row
-
-    def total_max_live(self) -> int:
-        """Summed MaxLive across clusters (the non-clustered figure when
-        there is a single cluster)."""
-        return sum(p.max_live for p in self.pressure.values())
 
     def segments_in_cluster(self, cluster: int) -> list[UseSegment]:
         return [s for s in self.segments if s.cluster == cluster]

@@ -91,6 +91,11 @@ class PartialSchedule:
     def placement_seq(self, node_id: int) -> int:
         return self._seq[node_id]
 
+    def placements(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Copies of the (node id -> issue cycle) and (node id ->
+        cluster) maps, in placement order."""
+        return dict(self._time), dict(self._cluster)
+
     def scheduled_ids(self) -> list[int]:
         return list(self._time)
 

@@ -527,10 +527,6 @@ class PressureTracker:
             for cluster, rows in enumerate(self._rows)
         }
 
-    def total_max_live(self) -> int:
-        """Summed MaxLive across clusters."""
-        return sum(self.max_live_all().values())
-
     @property
     def pressure(self) -> dict[int, ClusterPressure]:
         counts = self._invariant_registers()

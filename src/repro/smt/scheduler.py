@@ -2,11 +2,13 @@
 
 Runs the fixed-II decision problems of :mod:`repro.smt.problem` on an
 ascending II ladder and turns the first feasible verdict into a full
-:class:`~repro.core.result.ScheduleResult` — moves materialized into
-the graph, registers allocated, the schedule re-verified by
-:func:`repro.core.verify.verify_schedule` exactly as the heuristic's
-results are.  Every result carries an ``oracle`` dict recording the
-engine, the per-II certificate ledger and the proven lower bound:
+:class:`~repro.core.result.ScheduleResult`: the driver materializes the
+moves into the graph, and the finishing path every scheduler shares
+(:func:`repro.core.result.allocate` and :func:`repro.core.result.finish`)
+allocates the registers, builds the result and re-verifies it with
+:func:`repro.core.verify.verify_schedule`.  Every result carries an
+``oracle`` dict recording the engine, the per-II certificate ledger and
+the proven lower bound:
 
 * ``status="optimal"`` — achieved II == proven lower bound (UNSAT
   certificates at every II below, analytic MII certificate underneath);
@@ -21,10 +23,11 @@ engine, the per-II certificate ledger and the proven lower bound:
 The register bound is MaxLive per cluster; the allocator's arc
 colouring may still exceed MaxLive (the paper's footnote 2), in which
 case the driver tightens the affected cluster's cap by the overshoot
-and re-solves the *same* II a few times.  Those refinement solves run
-under tightened caps, so their UNSAT outcomes are never recorded as
-optimality certificates — only first-solve verdicts under the true
-register file enter the proven chain.
+:func:`~repro.core.result.allocate` reports and re-solves the *same* II
+a few times.  Those refinement solves run under tightened caps, so their
+UNSAT outcomes are never recorded as optimality certificates — only
+first-solve verdicts under the true register file enter the proven
+chain.
 """
 
 from __future__ import annotations
@@ -32,18 +35,20 @@ from __future__ import annotations
 import time
 
 from repro.core.params import MirsParams, SmtParams, max_ii_for
-from repro.core.result import ScheduleResult
+from repro.core.result import (
+    Allocation,
+    ScheduleResult,
+    allocate,
+    finish,
+    unconverged,
+)
 from repro.core.state import SchedulerStats
-from repro.core.verify import verify_schedule
 from repro.errors import ConvergenceError, SchedulingError
 from repro.graph.ddg import DepKind, DependenceGraph
 from repro.graph.mii import compute_mii
 from repro.machine.config import MachineConfig
 from repro.machine.resources import OpKind
 from repro.obs import resolve_tracer
-from repro.schedule.lifetimes import LifetimeAnalysis
-from repro.schedule.partial import PartialSchedule
-from repro.schedule.regalloc import allocate_registers
 from repro.smt import native
 from repro.smt.problem import FixedIIProblem
 
@@ -137,10 +142,10 @@ class SmtScheduler:
                         proven_lower=proven_lower,
                         last_ii=ii,
                     )
-                result = self._accept(
+                allocation = self._accept(
                     pristine, problem, outcome, solve, base_caps, certificates
                 )
-                if result is None:
+                if allocation is None:
                     # Satisfiable at the MaxLive bound, but arc colouring
                     # would not fit even after refinement: not a lower-
                     # bound certificate, just an II this driver cannot
@@ -148,17 +153,27 @@ class SmtScheduler:
                     restarts += 1
                     ii += 1
                     continue
-                result.mii = mii
-                result.restarts = restarts
-                result.scheduling_seconds = time.perf_counter() - started
+                graph = allocation.graph
+                result = finish(
+                    "exact backend",
+                    allocation,
+                    mii=mii,
+                    restarts=restarts,
+                    memory_traffic=sum(
+                        1 for n in graph.nodes() if n.kind.is_memory
+                    ),
+                    stats=SchedulerStats(
+                        moves_added=graph.count_kind(OpKind.MOVE),
+                        nodes_scheduled=len(allocation.times),
+                    ),
+                    seconds=time.perf_counter() - started,
+                )
                 result.oracle = self._oracle(
                     engine,
-                    status=(
-                        "optimal" if result.ii == proven_lower else "feasible"
-                    ),
+                    status="optimal" if ii == proven_lower else "feasible",
                     mii=mii,
                     proven_lower=proven_lower,
-                    achieved=result.ii,
+                    achieved=ii,
                     certificates=certificates,
                 )
                 return result
@@ -268,17 +283,13 @@ class SmtScheduler:
                 last_ii=last_ii,
                 highest_ii=last_ii,
             )
-        stats = SchedulerStats()
-        stats.search_trace = list(certificates)
-        return ScheduleResult(
-            loop=graph.name,
-            machine=self.machine,
-            converged=False,
+        return unconverged(
+            graph,
+            self.machine,
             ii=last_ii if last_ii is not None else mii,
             mii=mii,
-            scheduling_seconds=time.perf_counter() - started,
-            stats=stats,
-            trip_count=graph.trip_count,
+            seconds=time.perf_counter() - started,
+            stats=SchedulerStats(search_trace=list(certificates)),
             oracle=self._oracle(
                 engine,
                 status=status,
@@ -302,8 +313,9 @@ class SmtScheduler:
         solve,
         base_caps: dict[int, int] | None,
         certificates: list[dict],
-    ) -> ScheduleResult | None:
-        """Realize a SAT outcome; ``None`` if arc colouring defeats it."""
+    ) -> Allocation | None:
+        """Realize a SAT outcome as an allocation that fits the register
+        files; ``None`` if arc colouring defeats it."""
         caps = dict(base_caps) if base_caps else None
         for attempt in range(_COLOURING_RETRIES + 1):
             violations = problem.check_solution(
@@ -315,15 +327,20 @@ class SmtScheduler:
                     f"{pristine.name} at II={problem.ii}: "
                     + "; ".join(violations[:5])
                 )
-            result, overflow = self._materialize(pristine, problem, outcome)
-            if not overflow:
-                return result
+            graph, times, clusters = self._materialize(
+                pristine, problem, outcome
+            )
+            allocation = allocate(
+                graph, self.machine, problem.ii, times, clusters
+            )
+            if not allocation.overshoot:
+                return allocation
             if caps is None or attempt == _COLOURING_RETRIES:
                 return None
             # Footnote 2: colouring needed more than MaxLive.  Tighten
             # the overflowing clusters by the overshoot and re-solve the
             # same II under the stricter (non-certifying) caps.
-            for cluster, overshoot in overflow.items():
+            for cluster, overshoot in allocation.overshoot.items():
                 caps[cluster] = caps[cluster] - overshoot
                 if caps[cluster] < 1:
                     return None
@@ -347,13 +364,9 @@ class SmtScheduler:
         pristine: DependenceGraph,
         problem: FixedIIProblem,
         outcome: native.SolveOutcome,
-    ) -> tuple[ScheduleResult | None, dict[int, int]]:
-        """Turn a model into a verified result.
-
-        Returns ``(result, {})`` on success or ``(None, overflow)`` with
-        the per-cluster register overshoot when allocation exceeds the
-        register file (footnote 2).
-        """
+    ) -> tuple[DependenceGraph, dict[int, int], dict[int, int]]:
+        """Turn a model into a placement (issue cycles, clusters), its
+        moves added to a clone of the graph."""
         ii = problem.ii
         graph = pristine.clone()
         times = dict(outcome.times)
@@ -397,53 +410,4 @@ class SmtScheduler:
         if shift:
             times = {nid: t + shift for nid, t in times.items()}
 
-        schedule = PartialSchedule.from_placements(
-            self.machine, ii, times, clusters
-        )
-        analysis = LifetimeAnalysis(graph, schedule, self.machine)
-        allocations = allocate_registers(graph, schedule, self.machine, analysis)
-        register_usage = {c: a.registers_used for c, a in allocations.items()}
-        available = self.machine.cluster.registers
-        if available is not None:
-            overflow = {
-                c: used - available
-                for c, used in register_usage.items()
-                if used > available
-            }
-            if overflow:
-                return None, overflow
-
-        result = ScheduleResult(
-            loop=graph.name,
-            machine=self.machine,
-            converged=True,
-            ii=ii,
-            mii=ii,  # caller overwrites with the analytic MII
-            times=times,
-            clusters=clusters,
-            register_usage=register_usage,
-            max_live={
-                c: analysis.max_live(c) for c in range(self.machine.clusters)
-            },
-            memory_traffic=sum(
-                1 for n in graph.nodes() if n.kind.is_memory
-            ),
-            spill_operations=0,
-            move_operations=graph.count_kind(OpKind.MOVE),
-            stage_count=max(1, schedule.stage_count()),
-            stats=SchedulerStats(
-                moves_added=graph.count_kind(OpKind.MOVE),
-                nodes_scheduled=len(times),
-            ),
-            graph=graph,
-            trip_count=graph.trip_count,
-        )
-        violations = verify_schedule(
-            graph, self.machine, ii, times, clusters, register_usage
-        )
-        if violations:
-            raise SchedulingError(
-                f"exact backend produced an invalid schedule for "
-                f"{graph.name}: " + "; ".join(violations[:5])
-            )
-        return result, {}
+        return graph, times, clusters

@@ -866,7 +866,7 @@ def legacy_generate_code(result: ScheduleResult) -> GeneratedCode:
     assert result.converged and result.graph is not None
     ii = result.ii
     mve = modulo_variable_expansion_factor(result)
-    registers, _ = _register_names(result, mve)
+    registers = _register_names(result, mve)
 
     low = min(result.times.values(), default=0)
     by_slot: dict[tuple[int, int], list[int]] = {}

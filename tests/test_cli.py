@@ -24,6 +24,26 @@ class TestCli:
         assert main(["schedule", "--loop", "5"]) == 0
         assert "II=" in capsys.readouterr().out
 
+    def test_schedule_reports_convergence_error(self, capsys, monkeypatch):
+        """A scheduler giving up prints ``error: ...`` and exits 2
+        instead of dying with a traceback (the exact backend's step
+        budget ran out on workbench loop 3)."""
+        from repro.errors import ConvergenceError
+        from repro.smt.scheduler import SmtScheduler
+
+        def give_up(self, graph):
+            raise ConvergenceError(
+                f"exact backend unsolved on {graph.name}: step budget "
+                "exhausted at II=7"
+            )
+
+        monkeypatch.setattr(SmtScheduler, "schedule", give_up)
+        for command in ("schedule", "simulate"):
+            assert main([command, "--loop", "3", "--scheduler", "smt"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: exact backend unsolved")
+            assert "Traceback" not in captured.err
+
     def test_compare(self, capsys):
         assert main(
             ["compare", "--config", "2-(GP4M2-REG64)", "--loops", "3",

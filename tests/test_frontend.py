@@ -322,6 +322,27 @@ class TestAnalysis:
                 """
             ))
 
+    def test_undeclared_name_rejected(self):
+        """A name read in the body that is neither a parameter nor
+        assigned there is a typo, not a live-in invariant."""
+        with pytest.raises(FrontendError, match="'q' is read .* neither"):
+            lower_kernel(one_kernel(
+                """
+                def k(a, b):
+                    for i in range(4):
+                        a[i] = b[i] * q
+                """
+            ))
+
+    def test_division_by_literal_zero_rejected(self):
+        for divisor in ("0.0", "0", "-0.0", "(0.0)"):
+            with pytest.raises(FrontendError, match="division by the literal zero"):
+                parse_text(
+                    "def k(a, b):\n"
+                    "    for i in range(4):\n"
+                    f"        a[i] = b[i] / {divisor}\n"
+                )
+
     def test_saxpy_anti_dependence(self):
         deps = memory_dependences(one_kernel(
             """
