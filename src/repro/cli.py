@@ -33,6 +33,10 @@ the workbench over N worker processes and results are memoized in the
 cache (``.repro-cache/`` or ``$REPRO_CACHE_DIR``) unless ``--no-cache``
 is given.
 
+A malformed machine (``--config``, ``--move-latency``, ``--buses``), a
+rejected source loop or a scheduler giving up prints ``error: ...`` and
+exits with status 2.
+
 Examples::
 
     python -m repro schedule --config "4-(GP2M1-REG16)" --loop 31 --code
@@ -58,7 +62,7 @@ from repro import (
 )
 from repro.core.params import MirsParams
 from repro.core.request import ScheduleRequest
-from repro.errors import ConvergenceError, FrontendError
+from repro.errors import ConfigError, ConvergenceError, FrontendError
 from repro.core.search import POLICIES
 from repro.eval.experiments import figure2_rows
 from repro.eval.pretty import format_kernel
@@ -193,11 +197,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         args.config, move_latency=args.move_latency, buses=args.buses
     )
     request = _request_from(args)
-    try:
-        result = request.make_scheduler(machine).schedule(_loop_graph(args))
-    except (FrontendError, ConvergenceError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    result = request.make_scheduler(machine).schedule(_loop_graph(args))
     print(format_kernel(result))
     print()
     print(result.summary())
@@ -220,11 +220,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.config, move_latency=args.move_latency, buses=args.buses
     )
     request = _request_from(args)
-    try:
-        result = request.make_scheduler(machine).schedule(_loop_graph(args))
-    except (FrontendError, ConvergenceError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    result = request.make_scheduler(machine).schedule(_loop_graph(args))
     # None: the environment decides (REPRO_CACHE_DIR opts in, as for
     # plain library calls elsewhere).
     report = run_differential(result, args.iterations, cache=None)
@@ -449,11 +445,7 @@ def _cmd_frontend_show(args: argparse.Namespace) -> int:
         )
         return 0
 
-    try:
-        lowered = _resolve_source(args.source, args.kernel)
-    except FrontendError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    lowered = _resolve_source(args.source, args.kernel)
     kernel = lowered.kernel
     loop = kernel.loop
     graph = lowered.graph
@@ -503,11 +495,7 @@ def _cmd_frontend_run(args: argparse.Namespace) -> int:
         args.config, move_latency=args.move_latency, buses=args.buses
     )
     names = list(args.kernels) or list(CORPUS_KERNELS)
-    try:
-        lowered = [_resolve_source(name, None) for name in names]
-    except FrontendError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    lowered = [_resolve_source(name, None) for name in names]
     executor = SuiteExecutor(jobs=args.jobs, cache=not args.no_cache)
     request = _request_from(args)
     run = schedule_suite(machine, lowered, request, session=executor)
@@ -778,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     frontend_run.set_defaults(func=_cmd_frontend_run)
 
     suite = sub.add_parser("suite", help="workbench statistics")
-    suite.add_argument("--loops", type=int, default=60)
+    suite.add_argument("--loops", type=workbench_count, default=60)
     suite.set_defaults(func=_cmd_suite)
 
     technology = sub.add_parser(
@@ -814,7 +802,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, FrontendError, ConvergenceError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,11 +9,29 @@ earlier).  Either way registers are released in one cluster at the cost
 of occupancy in the other - spilling is attempted only "if not
 sufficient".
 
-Probing is *incremental*: the cluster's live-count rows are read off the
-scheduler's :class:`~repro.schedule.pressure.PressureTracker` (already
-current - no lifetime analysis is run), the contribution of the single
-affected lifetime is subtracted, and each candidate cycle only re-folds
-that one lifetime - O(II) per probe.
+The candidates are the ``_BALANCE_CANDIDATES`` latest-placed moves into
+or out of the cluster, found by scanning the schedule backwards from the
+latest placement.  Each one is probed **in place**, without ejecting it:
+
+* the cluster's live-count rows are read off the scheduler's
+  :class:`~repro.schedule.pressure.PressureTracker` (already current),
+  the single affected lifetime is subtracted, and each candidate cycle
+  re-folds only that one lifetime - O(II) per probe;
+* when the stripped rows alone already reach the current MaxLive, no
+  cycle can win (re-adding a lifetime only raises rows) and the probe
+  loop is skipped;
+* the slot window is the move's dependence window, which ignores the
+  move's own time, so it is the same with the move still placed;
+* the move's MRT reservation is lifted for the probes, so they do not
+  collide with the move itself.
+
+Only a winning shift ejects the move and places it at the new cycle.  A
+move that does not shift is *re-stamped*
+(:meth:`~repro.schedule.partial.PartialSchedule.restamp`): it becomes
+the latest placed and its reservation is placed again first-fit, which
+is what an eject and re-place at the old cycle leaves behind and what
+later tie-breaks (placement order, MRT instances) read - without
+refolding any lifetime.
 """
 
 from __future__ import annotations
@@ -31,35 +49,27 @@ _BALANCE_CANDIDATES = 4
 
 
 def _candidate_moves(state: SchedulerState, cluster: int) -> list[int]:
-    """Scheduled moves whose shifting could relieve ``cluster``."""
+    """The latest-placed scheduled moves (cheapest to revisit) whose
+    shifting could relieve ``cluster``, at most ``_BALANCE_CANDIDATES``."""
+    schedule = state.schedule
     candidates = []
-    for node in state.graph.nodes():
-        if not node.is_move or not state.schedule.is_scheduled(node.id):
-            continue
-        into = state.schedule.cluster(node.id) == cluster
-        out_of = node.src_cluster == cluster
-        if into or out_of:
-            candidates.append(node.id)
-    # Deterministic order: latest-placed first (cheapest to revisit).
-    candidates.sort(key=state.schedule.placement_seq, reverse=True)
+    for node_id in schedule.latest_first():
+        node = state.graph.node(node_id)
+        if node.is_move and (
+            schedule.cluster(node_id) == cluster or node.src_cluster == cluster
+        ):
+            candidates.append(node_id)
+            if len(candidates) == _BALANCE_CANDIDATES:
+                break
     return candidates
 
 
 def _value_lifetime(
-    state: SchedulerState, node_id: int, *, time_override: int | None = None
+    state: SchedulerState, node_id: int, start: int
 ) -> tuple[int, int]:
-    """[start, end) of a scheduled node's value on the current schedule.
-
-    ``time_override`` evaluates the lifetime as if the node issued at a
-    different cycle (used while probing move shifts).
-    """
+    """[start, end) of a node's value if it issued at ``start``."""
     schedule = state.schedule
     ii = schedule.ii
-    start = (
-        time_override
-        if time_override is not None
-        else schedule.time(node_id)
-    )
     node = state.graph.node(node_id)
     end = start + node_latency(node, state.machine)
     for edge in state.graph.out_edges(node_id):
@@ -108,11 +118,7 @@ def balance_register_pressure(state: SchedulerState, cluster: int) -> bool:
     baseline = max(rows) + invariants
 
     improved = False
-    examined = 0
     for move_id in _candidate_moves(state, cluster):
-        if examined >= _BALANCE_CANDIDATES:
-            break
-        examined += 1
         node = state.graph.node(move_id)
         old_cluster = schedule.cluster(move_id)
         old_cycle = schedule.time(move_id)
@@ -140,43 +146,44 @@ def balance_register_pressure(state: SchedulerState, cluster: int) -> bool:
         stripped = rows.copy()
         fold_lifetime(stripped, ii, affected_old[0], affected_old[1], -1)
 
-        schedule.eject(move_id)
-        window = dependence_window(state.graph, schedule, node, state.machine)
-        if into:
-            hi = window.late if window.late is not None else old_cycle + ii - 1
-            candidates = list(range(old_cycle + 1, hi + 1))[:_MAX_PROBES]
-        else:
-            lo = window.early if window.early is not None else old_cycle - ii + 1
-            candidates = list(range(old_cycle - 1, lo - 1, -1))[:_MAX_PROBES]
-
         best_cycle = None
-        for cycle in candidates:
+        if max(stripped) + invariants < baseline:
+            window = dependence_window(
+                state.graph, schedule, node, state.machine
+            )
             if into:
-                new_lifetime = _value_lifetime(
-                    state, move_id, time_override=cycle
-                )
+                hi = window.late if window.late is not None else old_cycle + ii - 1
+                candidates = range(old_cycle + 1, hi + 1)[:_MAX_PROBES]
             else:
-                new_lifetime = _producer_lifetime_with_use(
-                    state, producer, move_id, cycle
-                )
-            probe = stripped.copy()
-            fold_lifetime(probe, ii, new_lifetime[0], new_lifetime[1], +1)
-            new_max = max(probe) + invariants
-            if new_max >= baseline:
-                continue
-            if schedule.mrt.can_place(
-                node, old_cluster, cycle, src_cluster=node.src_cluster
-            ):
-                best_cycle = cycle
-                rows = probe
-                baseline = new_max
-                break
+                lo = window.early if window.early is not None else old_cycle - ii + 1
+                candidates = range(old_cycle - 1, lo - 1, -1)[:_MAX_PROBES]
+            # The probes must not collide with the move's own
+            # reservation; the re-stamp or re-place below books it again.
+            schedule.mrt.remove(move_id)
+            for cycle in candidates:
+                if into:
+                    new_lifetime = _value_lifetime(state, move_id, cycle)
+                else:
+                    new_lifetime = _producer_lifetime_with_use(
+                        state, producer, move_id, cycle
+                    )
+                probe = stripped.copy()
+                fold_lifetime(probe, ii, new_lifetime[0], new_lifetime[1], +1)
+                new_max = max(probe) + invariants
+                if new_max >= baseline:
+                    continue
+                if schedule.mrt.can_place(
+                    node, old_cluster, cycle, src_cluster=node.src_cluster
+                ):
+                    best_cycle = cycle
+                    rows = probe
+                    baseline = new_max
+                    break
 
         if best_cycle is None:
-            schedule.place(
-                node, old_cluster, old_cycle, src_cluster=node.src_cluster
-            )
+            schedule.restamp(node, src_cluster=node.src_cluster)
         else:
+            schedule.eject(move_id)
             schedule.place(
                 node, old_cluster, best_cycle, src_cluster=node.src_cluster
             )

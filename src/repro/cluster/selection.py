@@ -9,6 +9,15 @@ cluster to schedule it into, considering **in this order**:
    the values produced/consumed by already-scheduled operations,
 3. the minimum occupancy of the functional unit that can perform U.
 
+Only the first criterion needs a slot search, so it is the one run
+last: clusters are ranked by (moves, FU occupancy, index), slots are
+probed in that order, and the first cluster with a free slot wins.
+When no cluster has one, the best-ranked cluster is returned (the
+forced placement ejects there).  That is the minimum of the full key
+(no free slot, moves, occupancy, index) over every cluster, found with
+one ``find_free_slot`` per cluster up to the winner instead of one per
+cluster.
+
 Spill loads and stores are pinned next to the value they spill: the store
 goes where the value lives, the load where its consumer executes, so the
 spilled traffic never crosses clusters gratuitously.
@@ -86,7 +95,9 @@ def _pinned_cluster(state: SchedulerState, node: Node) -> int | None:
 def select_cluster(state: SchedulerState, node: Node) -> int:
     """Choose the cluster for ``node`` (Section 3.3.1).
 
-    For single-cluster machines this is always cluster 0.
+    For single-cluster machines this is always cluster 0.  Spill nodes
+    go to their pinned cluster; every other node to the first cluster,
+    in (moves, occupancy, index) order, with a free slot.
     """
     machine = state.machine
     if machine.clusters == 1:
@@ -104,19 +115,16 @@ def select_cluster(state: SchedulerState, node: Node) -> int:
     )
     resource = _resource_for(node.kind)
     producers, consumers = _communication_profile(state, node)
-
-    best_cluster = 0
-    best_key: tuple | None = None
-    for cluster in range(machine.clusters):
-        has_slot = (
-            find_free_slot(state.schedule, node, cluster, window) is not None
-        )
-        moves = _moves_for(producers, consumers, cluster)
-        occupancy = state.schedule.mrt.occupancy_fraction(resource, cluster)
-        # Lexicographic preference: slot available, fewest moves, least
-        # occupied FU, lowest index (determinism).
-        key = (not has_slot, moves, occupancy, cluster)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_cluster = cluster
-    return best_cluster
+    mrt = state.schedule.mrt
+    ranked = sorted(
+        range(machine.clusters),
+        key=lambda cluster: (
+            _moves_for(producers, consumers, cluster),
+            mrt.occupancy_fraction(resource, cluster),
+            cluster,
+        ),
+    )
+    for cluster in ranked:
+        if find_free_slot(state.schedule, node, cluster, window) is not None:
+            return cluster
+    return ranked[0]

@@ -10,6 +10,7 @@ previous position (Section 3.2.2, following Huff [16]).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 from repro.errors import SchedulingError
 from repro.graph.ddg import Node
@@ -37,9 +38,9 @@ class PartialSchedule:
         # occupied the last time it was scheduled.
         self.prev_cycle: dict[int, int] = {}
         #: Placement observers (the incremental pressure tracker).  Each
-        #: listener may implement ``on_place(node, cluster, cycle)`` and
-        #: ``on_eject(node_id)``; notifications fire *after* the
-        #: schedule's own state changed.
+        #: listener implements ``on_place(node, cluster, cycle)``,
+        #: ``on_eject(node_id)`` and ``on_restamp(node_id)``;
+        #: notifications fire *after* the schedule's own state changed.
         self.listeners: list = []
 
     @classmethod
@@ -98,6 +99,11 @@ class PartialSchedule:
 
     def scheduled_ids(self) -> list[int]:
         return list(self._time)
+
+    def latest_first(self) -> Iterator[int]:
+        """Scheduled node ids, latest placed first (descending
+        ``placement_seq``: every placement and re-stamp appends)."""
+        return reversed(self._seq)
 
     def __len__(self) -> int:
         return len(self._time)
@@ -160,17 +166,49 @@ class PartialSchedule:
         """Remove a node from the schedule; returns its old placement.
 
         ``prev_cycle`` keeps the old cycle so that a forced re-placement
-        explores new cycles instead of ping-ponging.
+        explores new cycles instead of ping-ponging.  The node's MRT
+        reservation may already be released (a probe of its other
+        cycles lifts it).
         """
         if node_id not in self._time:
             raise SchedulingError(f"cannot eject unscheduled node {node_id}")
-        self.mrt.remove(node_id)
+        if self.mrt.holds(node_id):
+            self.mrt.remove(node_id)
         old = (self._cluster.pop(node_id), self._time.pop(node_id))
         del self._seq[node_id]
         del self._rows[old[1] % self.ii][node_id]
         for listener in self.listeners:
             listener.on_eject(node_id)
         return old
+
+    def restamp(self, node: Node, src_cluster: int | None = None) -> None:
+        """Leave what ejecting a node and placing it back at its own
+        cycle and cluster would leave, without the round trip.
+
+        The node becomes the latest placed: it gets a new
+        ``placement_seq`` and moves to the end of the placement-ordered
+        maps and of its row.  Its MRT reservation is released (unless a
+        probe already did) and placed again first-fit, which can move it
+        to a lower instance.  Listeners get ``on_restamp(node_id)``; no
+        time, cluster or lifetime changes, so nothing needs refolding.
+        """
+        node_id = node.id
+        if node_id not in self._time:
+            raise SchedulingError(f"cannot restamp unscheduled node {node_id}")
+        cycle = self._time.pop(node_id)
+        cluster = self._cluster.pop(node_id)
+        if self.mrt.holds(node_id):
+            self.mrt.remove(node_id)
+        self.mrt.place(node, cluster, cycle, src_cluster=src_cluster)
+        self._time[node_id] = cycle
+        self._cluster[node_id] = cluster
+        del self._seq[node_id]
+        self._seq[node_id] = next(self._counter)
+        members = self._rows[cycle % self.ii]
+        del members[node_id]
+        members[node_id] = cluster
+        for listener in self.listeners:
+            listener.on_restamp(node_id)
 
     def forget(self, node_id: int) -> None:
         """Drop all traces of a node removed from the graph entirely."""

@@ -17,6 +17,9 @@ per event:
 * ``place(v)`` / ``eject(v)``: the lifetime of v's own value starts/ends,
   and each scheduled register *producer* of v gains/loses the use at v
   (their lifetime ends and use segments change);
+* ``restamp(v)`` (v placed again where it was): no lifetime changes,
+  only v's entry moves to the end, since lifetimes are listed in
+  placement order;
 * ``add_edge`` / ``remove_edge`` (REG): the source value's uses change;
 * ``remove_node``: covered by the edge removals plus the schedule
   ``forget``; a defensive cleanup handles direct removals.
@@ -263,6 +266,16 @@ class PressureTracker:
             self._invariant_counts = None
         self._drop(node_id)
         self._refresh_producers(node_id)
+        if self.self_check:
+            self.assert_matches_scratch()
+
+    def on_restamp(self, node_id: int) -> None:
+        # The node is the latest placed again and lifetimes are listed
+        # in placement order: its entry moves to the end, unrefolded.
+        entry = self._entries.pop(node_id, None)
+        if entry is not None:
+            self._entries[node_id] = entry
+            self._lifetimes_cache = None
         if self.self_check:
             self.assert_matches_scratch()
 

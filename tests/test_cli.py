@@ -44,6 +44,35 @@ class TestCli:
             assert captured.err.startswith("error: exact backend unsolved")
             assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["schedule", "--loop", "3", "--config", "foo"],
+             "cannot parse machine configuration 'foo'"),
+            (["schedule", "--loop", "3", "--config", "4-(GP2M1-REG0)"],
+             "register file must have at least one entry"),
+            (["schedule", "--move-latency", "-1"],
+             "move latency must be positive"),
+            (["simulate", "--buses", "0"], "need at least one bus"),
+            (["analyze", "--loops", "1", "--config", "2-(GP0M1-REG8)"],
+             "a cluster needs at least one GP unit"),
+            (["compare", "--loops", "1", "--buses", "0"],
+             "need at least one bus"),
+            (["frontend", "show", "--config", "bar"],
+             "cannot parse machine configuration 'bar'"),
+            (["frontend", "run", "saxpy", "--move-latency", "0"],
+             "move latency must be positive"),
+        ],
+    )
+    def test_malformed_machine_reports_config_error(self, argv, message, capsys):
+        """Every subcommand that builds a machine prints ``error: ...``
+        and exits 2 for a malformed one instead of a traceback."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_compare(self, capsys):
         assert main(
             ["compare", "--config", "2-(GP4M2-REG64)", "--loops", "3",
@@ -120,6 +149,8 @@ class TestCli:
             ["simulate", "--loop", "99999"],
             ["compare", "--loops", "0"],
             ["compare", "--loops", "5000"],
+            ["suite", "--loops", "0"],
+            ["suite", "--loops", "99999"],
         ],
     )
     def test_out_of_range_workbench_arguments(self, argv, capsys):

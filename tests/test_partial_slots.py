@@ -58,6 +58,32 @@ class TestPartialSchedule:
         schedule.place(b, 0, 1)
         assert schedule.placement_seq(a.id) < schedule.placement_seq(b.id)
 
+    def test_restamp_books_an_eject_and_replace_in_place(self):
+        # At II 2 the loads at cycles 0 and 2 share row 0 of the two
+        # memory ports: the second holds port 1, and once the first has
+        # left port 0 a re-stamp books the second there, first-fit.
+        b = LoopBuilder("loads")
+        first, second, third = (b.load(array=i) for i in range(3))
+        graph = b.build()
+        machine = parse_config("1-(GP2M2-REG32)")
+        schedule = PartialSchedule(machine, ii=2)
+        schedule.place(graph.node(first.id), 0, 0)
+        schedule.place(graph.node(second.id), 0, 2)
+        schedule.place(graph.node(third.id), 0, 1)
+        assert schedule.mrt._held[second.id][0][1] == 1
+        schedule.eject(first.id)
+        seq = schedule.placement_seq(third.id)
+        schedule.restamp(graph.node(second.id))
+        assert schedule.time(second.id) == 2
+        assert schedule.cluster(second.id) == 0
+        assert schedule.prev_cycle[second.id] == 2
+        assert schedule.placement_seq(second.id) == seq + 1
+        assert schedule.scheduled_ids() == [third.id, second.id]
+        assert list(schedule.latest_first()) == [second.id, third.id]
+        assert schedule.mrt._held[second.id][0][1] == 0
+        with pytest.raises(SchedulingError):
+            schedule.restamp(graph.node(first.id))
+
     def test_rows_span_and_stages(self, chain_graph):
         schedule = PartialSchedule(UNIFIED, ii=4)
         schedule.place(chain_graph.node(0), 0, 0)
