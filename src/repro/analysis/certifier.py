@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+from typing import NamedTuple
 
 from repro.analysis.cfg import (
     EPILOGUE,
@@ -104,7 +105,7 @@ def _describe(instance: _Instance) -> str:
     return f"value {node} of iteration {iteration}"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class _NodePlan:
     """What the dataflow walk needs to know of one graph node.
 
@@ -129,6 +130,30 @@ class _NodePlan:
     #: ``(producer, distance, latency, kind name)`` per memory/control
     #: dependence.
     other_edges: tuple[tuple[int, int, int, str], ...]
+
+
+#: A violation found without a site: ``(kind, register, operation,
+#: detail)``; every visit reports it at the site it visits.
+_Finding = tuple[ViolationKind, "str | None", int, str]
+
+
+class _Static(NamedTuple):
+    """What the walk checks of one instruction without its visit's
+    iteration, cycle or register state (see :meth:`_Certifier._static`).
+    """
+
+    plan: _NodePlan
+    #: The register sources, in emitted order.
+    reads: list[str]
+    #: Source-cluster and invariant findings (reported before the reads
+    #: resolve).
+    operands: tuple[_Finding, ...]
+    #: The operand-count finding (reported after the undefined reads).
+    count: tuple[_Finding, ...]
+    #: Destination findings (reported after the reads are matched).
+    destination: tuple[_Finding, ...]
+    #: No findings at all.
+    clean: bool
 
 
 class _Certifier:
@@ -173,6 +198,10 @@ class _Certifier:
         #: node id -> its walk plan (``None``: not walkable), built on
         #: the node's first visit.
         self._plans: dict[int, _NodePlan | None] = {}
+        #: id of an instruction object -> its static findings, built on
+        #: the object's first visit (the code keeps every object alive,
+        #: so the ids stay unique for the whole run).
+        self._statics: dict[int, _Static | None] = {}
 
     # ------------------------------------------------------------------
     # Violation recording
@@ -336,22 +365,40 @@ class _Certifier:
         slots_of: dict[
             tuple[int, int], list[tuple[dict[int, list[int]], int, int]]
         ] = {}
+        # id of an instruction object -> (its node, its slots).
+        booked: dict[
+            int, tuple[int, list[tuple[dict[int, list[int]], int, int]]]
+        ] = {}
         site_at: dict[int, BundleSite] = {}
         for site in self.cfg.linearized(passes):
-            site_at[site.cycle] = site
+            at = site.cycle
+            site_at[at] = site
             for inst in site.bundle:
-                key = (inst.node, inst.cluster)
-                slots = slots_of.get(key)
-                if slots is None:
-                    slots = slots_of[key] = self._reservation_slots(inst, usage)
-                node_id = inst.node
+                entry = booked.get(id(inst))
+                if entry is None:
+                    key = (inst.node, inst.cluster)
+                    slots = slots_of.get(key)
+                    if slots is None:
+                        slots = slots_of[key] = self._reservation_slots(
+                            inst, usage
+                        )
+                    entry = booked[id(inst)] = (inst.node, slots)
+                node_id, slots = entry
                 for pool, offset, duration in slots:
-                    start = site.cycle + offset
-                    for cycle in range(start, start + duration):
-                        if cycle in pool:
-                            pool[cycle].append(node_id)
-                        else:
+                    cycle = at + offset
+                    if duration == 1:
+                        users = pool.get(cycle)
+                        if users is None:
                             pool[cycle] = [node_id]
+                        else:
+                            users.append(node_id)
+                        continue
+                    for cycle in range(cycle, cycle + duration):
+                        users = pool.get(cycle)
+                        if users is None:
+                            pool[cycle] = [node_id]
+                        else:
+                            users.append(node_id)
 
         for (resource, target), pool in sorted(
             usage.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
@@ -463,76 +510,120 @@ class _Certifier:
             ),
         )
 
-    def _check_instruction(
-        self,
-        site: BundleSite,
-        inst: Instruction,
-        plan: _NodePlan,
-        state: dict[str, _Content],
-        issued: dict[tuple[int, int], int],
-        writes: list[tuple[str, _Content, int]],
-    ) -> None:
-        node_id = inst.node
-        cycle = site.cycle
-        iteration = site.block - plan.stage
-        cluster = plan.cluster if plan.cluster is not None else inst.cluster
+    def _static(self, inst: Instruction) -> _Static | None:
+        """The findings of ``inst`` that read only it and its node's plan
+        (``None``: the node is not walkable, see :meth:`_plan`).
 
+        The emitter shares one instruction object between the prologue,
+        the kernel and the epilogue, and the walk revisits kernel and
+        epilogue bundles on every explored pass and replay, so these
+        checks run once per instruction object.  Each visit reports the
+        findings again, at its own site and in the order the walk
+        always reported them; :meth:`_report` drops the repeats.
+        """
+        node_id = inst.node
+        plans = self._plans
+        if node_id in plans:
+            plan = plans[node_id]
+        else:
+            plan = plans[node_id] = self._plan(node_id)
+        if plan is None:
+            return None
+        cluster = plan.cluster if plan.cluster is not None else inst.cluster
         reg_names, inv_names = split_sources(inst.sources)
 
         # Cluster locality: moves read from their declared source
         # cluster, everything else from its own register file.
+        operands: list[_Finding] = []
         source_cluster = plan.src_cluster if plan.is_move else cluster
         if plan.is_move and plan.src_cluster is None:
-            self._report(
-                ViolationKind.STRUCTURE,
-                site,
-                operation=node_id,
-                detail=f"move {node_id} declares no source cluster",
-            )
+            operands.append((
+                ViolationKind.STRUCTURE, None, node_id,
+                f"move {node_id} declares no source cluster",
+            ))
         for name in reg_names:
             owner = register_cluster(name)
             if owner is None:
-                self._report(
-                    ViolationKind.OPERAND_MISMATCH,
-                    site,
-                    register=name,
-                    operation=node_id,
-                    detail=f"malformed register name {name!r}",
-                )
+                operands.append((
+                    ViolationKind.OPERAND_MISMATCH, name, node_id,
+                    f"malformed register name {name!r}",
+                ))
             elif source_cluster is not None and owner != source_cluster:
-                self._report(
-                    ViolationKind.CROSS_CLUSTER,
-                    site,
-                    register=name,
-                    operation=node_id,
-                    detail=(
-                        f"node {node_id} on cluster {cluster} reads "
-                        f"{name} from cluster {owner} without a move"
-                        if not plan.is_move
-                        else f"move {node_id} reads {name} from cluster "
-                        f"{owner} but declares source {plan.src_cluster}"
-                    ),
-                )
+                operands.append((
+                    ViolationKind.CROSS_CLUSTER, name, node_id,
+                    f"node {node_id} on cluster {cluster} reads "
+                    f"{name} from cluster {owner} without a move"
+                    if not plan.is_move
+                    else f"move {node_id} reads {name} from cluster "
+                    f"{owner} but declares source {plan.src_cluster}",
+                ))
 
         # Invariant operands must be exactly the graph's.
         expected_invariants = plan.invariants
         if (inv_names or expected_invariants) and (
             sorted(inv_names) != expected_invariants
         ):
-            self._report(
-                ViolationKind.OPERAND_MISMATCH,
-                site,
-                operation=node_id,
-                detail=(
-                    f"invariant operands {sorted(inv_names)} != "
-                    f"{expected_invariants} required by the graph"
-                ),
-            )
+            operands.append((
+                ViolationKind.OPERAND_MISMATCH, None, node_id,
+                f"invariant operands {sorted(inv_names)} != "
+                f"{expected_invariants} required by the graph",
+            ))
+
+        count: list[_Finding] = []
+        if len(reg_names) != len(plan.reg_edges):
+            count.append((
+                ViolationKind.OPERAND_MISMATCH, None, node_id,
+                f"{len(reg_names)} register operands for "
+                f"{len(plan.reg_edges)} register dependences",
+            ))
+
+        destination: list[_Finding] = []
+        dest = inst.dest
+        if dest is not None:
+            if not plan.produces_value:
+                destination.append((
+                    ViolationKind.OPERAND_MISMATCH, dest, node_id,
+                    f"{plan.kind_name} node {node_id} writes a register",
+                ))
+            owner = register_cluster(dest)
+            if owner is not None and owner != cluster:
+                destination.append((
+                    ViolationKind.CROSS_CLUSTER, dest, node_id,
+                    f"node {node_id} on cluster {cluster} writes "
+                    f"{dest} of cluster {owner}",
+                ))
+        elif plan.has_reg_consumers:
+            destination.append((
+                ViolationKind.OPERAND_MISMATCH, None, node_id,
+                f"node {node_id} has register consumers but the "
+                "instruction writes no destination",
+            ))
+        return _Static(
+            plan,
+            reg_names,
+            tuple(operands),
+            tuple(count),
+            tuple(destination),
+            not (operands or count or destination),
+        )
+
+    def _check_reads(
+        self,
+        site: BundleSite,
+        node_id: int,
+        iteration: int,
+        static: _Static,
+        state: dict[str, _Content],
+    ) -> None:
+        """Match one visit's register reads against the graph's operands,
+        reporting every operand finding in order."""
+        cycle = site.cycle
+        for kind, register, operation, detail in static.operands:
+            self._report(kind, site, register, operation, detail)
 
         # Resolve every register read (before any write of this bundle).
-        self.reads_checked += len(reg_names)
         unmatched_reads: list[tuple[str, _Content | None]] = []
-        for name in reg_names:
+        for name in static.reads:
             content = state.get(name)
             if content is None:
                 self._report(
@@ -551,21 +642,13 @@ class _Certifier:
         # instances collapse onto the value's physical live-in
         # registers (see ``_live_in_modulus``).
         wanted: list[tuple[_Instance, int]] = []
-        for src, distance, modulus, latency in plan.reg_edges:
+        for src, distance, modulus, latency in static.plan.reg_edges:
             produced = iteration - distance
             if produced < 0:
                 produced = produced % modulus - modulus
             wanted.append(((src, produced, produced < 0), latency))
-        if len(reg_names) != len(wanted):
-            self._report(
-                ViolationKind.OPERAND_MISMATCH,
-                site,
-                operation=node_id,
-                detail=(
-                    f"{len(reg_names)} register operands for "
-                    f"{len(wanted)} register dependences"
-                ),
-            )
+        for kind, register, operation, detail in static.count:
+            self._report(kind, site, register, operation, detail)
         if len(wanted) > 1:
             wanted.sort(key=_by_instance)
 
@@ -620,65 +703,6 @@ class _Certifier:
                 ),
             )
 
-        # Destination bookkeeping.
-        dest = inst.dest
-        if dest is not None:
-            if not plan.produces_value:
-                self._report(
-                    ViolationKind.OPERAND_MISMATCH,
-                    site,
-                    register=dest,
-                    operation=node_id,
-                    detail=f"{plan.kind_name} node {node_id} writes a register",
-                )
-            owner = register_cluster(dest)
-            if owner is not None and owner != cluster:
-                self._report(
-                    ViolationKind.CROSS_CLUSTER,
-                    site,
-                    register=dest,
-                    operation=node_id,
-                    detail=(
-                        f"node {node_id} on cluster {cluster} writes "
-                        f"{dest} of cluster {owner}"
-                    ),
-                )
-            writes.append((dest, ((node_id, iteration, False), cycle), node_id))
-        elif plan.has_reg_consumers:
-            self._report(
-                ViolationKind.OPERAND_MISMATCH,
-                site,
-                operation=node_id,
-                detail=(
-                    f"node {node_id} has register consumers but the "
-                    "instruction writes no destination"
-                ),
-            )
-
-        # Memory / control ordering across the concrete walk.
-        for src, distance, latency, kind_name in plan.other_edges:
-            produced = iteration - distance
-            if produced < 0:
-                continue
-            producer_cycle = issued.get((src, produced))
-            if producer_cycle is None:
-                producer_cycle = self.issue_cycle.get((src, produced))
-            if producer_cycle is None:
-                continue
-            if cycle < producer_cycle + latency:
-                self._report(
-                    ViolationKind.LATENCY,
-                    site,
-                    operation=node_id,
-                    detail=(
-                        f"{kind_name} dependence {src}->"
-                        f"{node_id} (d={distance}) violated: issued "
-                        f"{cycle - producer_cycle} cycles apart, "
-                        f"latency {latency}"
-                    ),
-                )
-        issued[(node_id, iteration)] = cycle
-
     def _walk_site(
         self,
         site: BundleSite,
@@ -687,16 +711,112 @@ class _Certifier:
     ) -> None:
         """Execute one bundle symbolically: read-first, then write back."""
         self.bundles_checked += 1
-        plans = self._plans
+        statics = self._statics
+        cycle = site.cycle
+        block = site.block
         writes: list[tuple[str, _Content, int]] = []
         for inst in site.bundle:
-            node_id = inst.node
-            if node_id in plans:
-                plan = plans[node_id]
+            key = id(inst)
+            if key in statics:
+                static = statics[key]
             else:
-                plan = plans[node_id] = self._plan(node_id)
-            if plan is not None:
-                self._check_instruction(site, inst, plan, state, issued, writes)
+                static = statics[key] = self._static(inst)
+            if static is None:
+                continue
+            plan, reg_names, _, _, destination, clean = static
+            node_id = inst.node
+            iteration = block - plan.stage
+            self.reads_checked += len(reg_names)
+
+            # Fast path: a clean instruction of at most two register
+            # operands whose reads hold exactly the distinct instances
+            # it needs, each past its latency.  Then the full check of
+            # ``_check_reads`` reports nothing (the reads pair with the
+            # wanted instances one way only), so it runs only when this
+            # test fails.
+            matched = clean
+            if matched and reg_names:
+                edges = plan.reg_edges
+                if len(edges) == 1:
+                    src, distance, modulus, latency = edges[0]
+                    produced = iteration - distance
+                    content = state.get(reg_names[0])
+                    if produced < 0:
+                        produced = produced % modulus - modulus
+                        matched = (
+                            content is not None
+                            and content[0] == (src, produced, True)
+                        )
+                    else:
+                        matched = (
+                            content is not None
+                            and content[0] == (src, produced, False)
+                            and cycle >= content[1] + latency
+                        )
+                elif len(edges) == 2:
+                    wants = []
+                    for src, distance, modulus, latency in edges:
+                        produced = iteration - distance
+                        if produced < 0:
+                            produced = produced % modulus - modulus
+                        wants.append(((src, produced, produced < 0), latency))
+                    first = state.get(reg_names[0])
+                    second = state.get(reg_names[1])
+                    if (
+                        first is None
+                        or second is None
+                        or wants[0][0] == wants[1][0]
+                    ):
+                        matched = False
+                    else:
+                        if first[0] != wants[0][0]:
+                            wants.reverse()
+                        for (want, latency), content in zip(
+                            wants, (first, second)
+                        ):
+                            if content[0] != want or (
+                                not want[2] and cycle < content[1] + latency
+                            ):
+                                matched = False
+                                break
+                else:
+                    matched = False
+            if not matched:
+                self._check_reads(site, node_id, iteration, static, state)
+
+            # Destination bookkeeping.
+            for kind, register, operation, detail in destination:
+                self._report(kind, site, register, operation, detail)
+            dest = inst.dest
+            if dest is not None:
+                writes.append(
+                    (dest, ((node_id, iteration, False), cycle), node_id)
+                )
+
+            # Memory / control ordering across the concrete walk.
+            for src, distance, latency, kind_name in plan.other_edges:
+                produced = iteration - distance
+                if produced < 0:
+                    continue
+                producer_cycle = issued.get((src, produced))
+                if producer_cycle is None:
+                    producer_cycle = self.issue_cycle.get((src, produced))
+                if producer_cycle is None:
+                    continue
+                if cycle < producer_cycle + latency:
+                    self._report(
+                        ViolationKind.LATENCY,
+                        site,
+                        operation=node_id,
+                        detail=(
+                            f"{kind_name} dependence {src}->"
+                            f"{node_id} (d={distance}) violated: issued "
+                            f"{cycle - producer_cycle} cycles apart, "
+                            f"latency {latency}"
+                        ),
+                    )
+            issued[(node_id, iteration)] = cycle
+
         written: dict[str, int] = {}
         for name, content, node_id in writes:
             earlier = written.get(name)

@@ -33,7 +33,7 @@ KERNEL = "kernel"
 EPILOGUE = "epilogue"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class BundleSite:
     """One concrete bundle execution.
 

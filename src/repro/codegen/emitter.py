@@ -42,7 +42,7 @@ from repro.graph.ddg import DepKind
 CERTIFY_ENV = "REPRO_STATIC_CERTIFY"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class Instruction:
     """One operation slot inside a bundle.
 

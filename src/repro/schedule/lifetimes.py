@@ -36,7 +36,7 @@ from repro.machine.resources import OpKind
 from repro.schedule.partial import PartialSchedule
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class UseSegment:
     """One lifetime section ("use", Section 3.1) of a value.
 

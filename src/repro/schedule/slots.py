@@ -34,7 +34,7 @@ class Direction(enum.Enum):
     BACKWARD = "backward"  # from LateStart towards EarlyStart
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class SlotWindow:
     """The candidate cycles for one placement attempt.
 

@@ -139,22 +139,38 @@ def load_value(memory_word: int, operands: list[int]) -> int:
     return fold(_SALTS[OpKind.LOAD], sorted(operands) + [memory_word])
 
 
+# The identity values below are ``fold`` of one or two words, unrolled:
+# each step of ``fold`` is ``h * M + value + 1`` (mod P), so the first
+# step's ``salt * M`` is a constant.
+_LIVE_IN_BASE = (_LIVE_IN_SALT % FIELD_PRIME) * _FOLD_MULTIPLIER + 1
+_INVARIANT_BASE = (_INVARIANT_SALT % FIELD_PRIME) * _FOLD_MULTIPLIER + 1
+_MEMORY_BASE = (_MEMORY_SALT % FIELD_PRIME) * _FOLD_MULTIPLIER + 1
+
+
 def initial_value(node_id: int, iteration: int) -> int:
     """Live-in value of a loop-carried dependence.
 
     A consumer at iteration ``i`` reading distance ``d`` needs the
     producer's instance of iteration ``i - d``; for ``i - d < 0`` that
     instance predates the loop and is defined as a pure function of
-    (producer, iteration) so both executions agree on it.
+    (producer, iteration) so both executions agree on it.  Equals
+    ``fold(_LIVE_IN_SALT, [node_id, iteration & 0xFFFF_FFFF])``.
     """
-    return fold(_LIVE_IN_SALT, [node_id, iteration & 0xFFFF_FFFF])
+    h = (_LIVE_IN_BASE + node_id) % FIELD_PRIME
+    return (h * _FOLD_MULTIPLIER + (iteration & 0xFFFF_FFFF) + 1) % FIELD_PRIME
 
 
 def invariant_value(invariant_id: int) -> int:
-    """The (arbitrary but fixed) value of a loop invariant."""
-    return fold(_INVARIANT_SALT, [invariant_id])
+    """The (arbitrary but fixed) value of a loop invariant.
+
+    Equals ``fold(_INVARIANT_SALT, [invariant_id])``.
+    """
+    return (_INVARIANT_BASE + invariant_id) % FIELD_PRIME
 
 
 def initial_memory(address: int) -> int:
-    """Contents of a memory word never written by the loop."""
-    return fold(_MEMORY_SALT, [address])
+    """Contents of a memory word never written by the loop.
+
+    Equals ``fold(_MEMORY_SALT, [address])``.
+    """
+    return (_MEMORY_BASE + address) % FIELD_PRIME

@@ -7,36 +7,24 @@ CLI prints it,
 ``eval/experiments`` compares it against the analytic stall prediction
 of :mod:`repro.memsim`, and ``benchmarks/bench_simulator.py`` feeds it
 into ``BENCH_suite.json``.  Bulky per-instance state (register values,
-memory words) stays out; :attr:`SimulationResult.state_digest` carries a
-stable hash of it so two runs can still be compared for bit equality.
+memory words) stays out: it lives on the
+:class:`~repro.sim.vliw.SimulationRun` a simulation returns, and the
+differential compares that run's ``values`` and ``memory`` directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-
-
-def state_digest(
-    values: dict[tuple[int, int], int], memory: dict[int, int]
-) -> str:
-    """Stable digest of an execution's end state.
-
-    Covers every (node, iteration) value and every written memory word;
-    two executions agree on the digest iff they agree on the state.
-    """
-    payload = {
-        "values": sorted((n, i, v) for (n, i), v in values.items()),
-        "memory": sorted(memory.items()),
-    }
-    text = json.dumps(payload, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
 class SimulationResult:
     """Measured cycles and traffic of one simulated execution.
+
+    The record carries no end state, so two equal results need not have
+    computed the same values: bit-for-bit agreement is a property of the
+    :class:`~repro.sim.vliw.SimulationRun` (its ``values``, ``memory``
+    and ``registers``), which is what the differential compares.
 
     Attributes:
         loop: the loop's name.
@@ -53,8 +41,6 @@ class SimulationResult:
         instructions: operation instances issued (nops excluded).
         loads / stores / moves: per-class instance counts.
         cache_hits / cache_misses: lockup-free cache accesses.
-        state_digest: digest of the (node, iteration) values and final
-            memory, for bit-for-bit comparison with the reference run.
         unroll_factor: unroll factor of the executed graph — each
             executed iteration covers this many *source* iterations.
         surplus_iterations: source iterations a full execution runs
@@ -81,7 +67,6 @@ class SimulationResult:
     moves: int
     cache_hits: int
     cache_misses: int
-    state_digest: str
     unroll_factor: int = 1
     surplus_iterations: int = 0
 

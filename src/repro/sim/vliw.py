@@ -41,7 +41,7 @@ from repro.machine.technology import TechnologyModel
 from repro.memsim.cache import CacheConfig, LockupFreeCache
 from repro.sim import ops
 from repro.sim.reference import spill_load_distance
-from repro.sim.result import SimulationResult, state_digest
+from repro.sim.result import SimulationResult
 
 _INVARIANT_PREFIX = "inv:"
 
@@ -419,7 +419,6 @@ class VliwSimulator:
             moves=total("moves"),
             cache_hits=cache.hits,
             cache_misses=cache.misses,
-            state_digest=state_digest(values, memory),
         )
         return SimulationRun(
             result=result, values=values, memory=memory, registers=registers

@@ -10,11 +10,29 @@ import signal
 from hypothesis import strategies as st
 
 from repro import DependenceGraph, DepKind, LoopBuilder, MemRef, OpKind, parse_config
+from repro.analysis.cfg import (
+    EPILOGUE,
+    KERNEL,
+    PROLOGUE,
+    BundleCFG,
+    BundleSite,
+    register_cluster,
+    split_sources,
+)
+from repro.analysis.certifier import (
+    MAX_FIXPOINT_SLACK,
+    _by_instance,
+    _Content,
+    _describe,
+    _Instance,
+    _NodePlan,
+)
+from repro.analysis.model import CertifierReport, CertifierViolation, ViolationKind
 from repro.codegen import GeneratedCode, generate_code
 from repro.codegen.emitter import Instruction, _register_names
 from repro.codegen.mve import modulo_variable_expansion_factor
 from repro.core.result import ScheduleResult
-from repro.errors import FrontendError, SimulationError
+from repro.errors import FrontendError, GraphError, SimulationError
 from repro.exec.cache import ResultCache
 from repro.frontend.differential import (
     _PAIR,
@@ -23,6 +41,11 @@ from repro.frontend.differential import (
 )
 from repro.frontend.lower import LoweredKernel
 from repro.frontend.reference import SourceInterpreter
+from repro.graph.ddg import Node
+from repro.graph.latency import edge_latency
+from repro.machine.config import MachineConfig
+from repro.machine.reservation import ClusterRole, reservation_steps
+from repro.machine.resources import ResourceClass
 from repro.machine.technology import TechnologyModel
 from repro.memsim.cache import CacheConfig, LockupFreeCache
 from repro.sim import ops
@@ -39,7 +62,7 @@ from repro.sim.reference import (
     live_in_moduli_of_code,
     spill_load_distance,
 )
-from repro.sim.result import SimulationResult, state_digest
+from repro.sim.result import SimulationResult
 from repro.sim.vliw import SimulationRun, VliwSimulator, effective_iterations
 
 UNIFIED = parse_config("1-(GP8M4-REG64)")
@@ -700,7 +723,6 @@ class LegacyVliwSimulator:
             moves=moves,
             cache_hits=cache.hits,
             cache_misses=cache.misses,
-            state_digest=state_digest(values, memory),
         )
         return SimulationRun(
             result=result, values=values, memory=memory, registers=registers
@@ -1226,3 +1248,669 @@ def legacy_select_cluster(state, node) -> int:
             best_key = key
             best_cluster = cluster
     return best_cluster
+
+
+# ----------------------------------------------------------------------
+# The certifier that ran every static operand and destination check on
+# every kernel-pass and epilogue-replay visit, kept verbatim (apart from
+# the name) as the oracle of tests/test_certifier.py.
+# ----------------------------------------------------------------------
+
+
+class LegacyCertifier:
+    """One certification run (see repro.analysis.certifier)."""
+
+    def __init__(self, code: GeneratedCode, schedule: ScheduleResult):
+        graph = schedule.graph
+        if graph is None:
+            raise GraphError(
+                f"certifying loop {schedule.loop!r} needs the schedule's "
+                "dependence graph"
+            )
+        self.code = code
+        self.schedule = schedule
+        self.graph: DependenceGraph = graph
+        self.machine: MachineConfig = schedule.machine
+        self.cfg = BundleCFG(code)
+        self.violations: list[CertifierViolation] = []
+        self._seen: set[
+            tuple[ViolationKind, str, int, str | None, int | None, str]
+        ] = set()
+        self.bundles_checked = 0
+        self.reads_checked = 0
+        self.passes_checked = 0
+        times = schedule.times
+        low = min(times.values(), default=0)
+        self.stage_of: dict[int, int] = {
+            node_id: (cycle - low) // code.ii for node_id, cycle in times.items()
+        }
+        #: (node, iteration) -> issue cycle, over the committed walk
+        #: (prologue + kernel passes); epilogue replays overlay it.
+        self.issue_cycle: dict[tuple[int, int], int] = {}
+        self._nodes: dict[int, Node] = {node.id: node for node in graph.nodes()}
+        #: Live-in modulus per value: a value held in ``m`` distinct
+        #: physical registers presents at most ``m`` distinct live-ins,
+        #: so pre-loop instances congruent modulo ``m`` are physically
+        #: one value (mirrors ``live_in_moduli_of_code`` - the semantic
+        #: contract the differential's reference interpreter uses too).
+        self._live_in_modulus: dict[int, int] = {
+            value: len(set(names)) for value, names in code.registers.items()
+        }
+        #: node id -> its walk plan (``None``: not walkable), built on
+        #: the node's first visit.
+        self._plans: dict[int, _NodePlan | None] = {}
+
+    # ------------------------------------------------------------------
+    # Violation recording
+    # ------------------------------------------------------------------
+
+    def _report(
+        self,
+        kind: ViolationKind,
+        site: BundleSite | None,
+        register: str | None = None,
+        operation: int | None = None,
+        detail: str = "",
+    ) -> None:
+        """Record one violation, deduplicating shift-equivalent repeats.
+
+        The kernel fixpoint and the per-pass epilogue replays revisit
+        the same static bundle; a defect there would otherwise be
+        reported once per visited pass.
+        """
+        section = site.section if site is not None else "code"
+        index = site.index if site is not None else -1
+        # Keyed without `detail` at concrete sites (details embed
+        # pass-dependent iteration numbers); whole-pipeline reports have
+        # pass-independent details and would collide without it.
+        key = (kind, section, index, register, operation,
+               detail if site is None else "")
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        self.violations.append(
+            CertifierViolation(
+                kind=kind,
+                section=section,
+                bundle=index,
+                register=register,
+                operation=operation,
+                detail=detail,
+            )
+        )
+
+    # ------------------------------------------------------------------
+    # Structural checks
+    # ------------------------------------------------------------------
+
+    def check_structure(self) -> bool:
+        """Section lengths; False when the pipeline shape is unusable."""
+        code = self.code
+        fill = code.ii * (code.stage_count - 1)
+        ok = True
+        if len(code.prologue) != fill:
+            self._report(
+                ViolationKind.STRUCTURE,
+                None,
+                detail=(
+                    f"prologue has {len(code.prologue)} bundles, expected "
+                    f"II*(SC-1) = {fill}"
+                ),
+            )
+            ok = False
+        if len(code.epilogue) != fill:
+            self._report(
+                ViolationKind.STRUCTURE,
+                None,
+                detail=(
+                    f"epilogue has {len(code.epilogue)} bundles, expected "
+                    f"II*(SC-1) = {fill}"
+                ),
+            )
+            ok = False
+        kernel_cycles = code.ii * code.mve_factor
+        if len(code.kernel) != kernel_cycles:
+            self._report(
+                ViolationKind.STRUCTURE,
+                None,
+                detail=(
+                    f"kernel has {len(code.kernel)} bundles, expected "
+                    f"II*MVE = {kernel_cycles}"
+                ),
+            )
+            ok = False
+        return ok
+
+    def check_replication(self) -> None:
+        """The SC-1-s / MVE / s instance-count invariant, per node."""
+        counts: dict[str, dict[int, int]] = {PROLOGUE: {}, KERNEL: {}, EPILOGUE: {}}
+        for section, bundles in (
+            (PROLOGUE, self.code.prologue),
+            (KERNEL, self.code.kernel),
+            (EPILOGUE, self.code.epilogue),
+        ):
+            tally = counts[section]
+            for bundle in bundles:
+                for inst in bundle:
+                    tally[inst.node] = tally.get(inst.node, 0) + 1
+        sc = self.code.stage_count
+        mve = self.code.mve_factor
+        for node_id in sorted(self._nodes):
+            stage = self.stage_of.get(node_id)
+            if stage is None:
+                self._report(
+                    ViolationKind.STRUCTURE,
+                    None,
+                    operation=node_id,
+                    detail=f"node {node_id} has no scheduled cycle",
+                )
+                continue
+            expected = {
+                PROLOGUE: sc - 1 - stage,
+                KERNEL: mve,
+                EPILOGUE: stage,
+            }
+            for section, want in expected.items():
+                have = counts[section].get(node_id, 0)
+                if have != want:
+                    self._report(
+                        ViolationKind.REPLICATION,
+                        None,
+                        operation=node_id,
+                        detail=(
+                            f"stage-{stage} node {node_id} appears {have} "
+                            f"times in the {section}, expected {want}"
+                        ),
+                    )
+        for section, tally in counts.items():
+            for node_id in sorted(tally):
+                if node_id not in self._nodes:
+                    self._report(
+                        ViolationKind.STRUCTURE,
+                        None,
+                        operation=node_id,
+                        detail=(
+                            f"{section} issues node {node_id} which is not "
+                            "in the dependence graph"
+                        ),
+                    )
+
+    # ------------------------------------------------------------------
+    # Resource usage (re-derived from the code alone)
+    # ------------------------------------------------------------------
+
+    def check_resources(self) -> None:
+        """Exact per-cycle resource feasibility on the linearized code.
+
+        Enough kernel passes are materialized that any occupancy tail
+        (an unpipelined divide spans up to 30 cycles) wraps through the
+        back-edge into the next pass; prologue and epilogue bundles are
+        instruction subsets of their kernel rows, so the multi-pass
+        interior dominates every smaller trip count.
+        """
+        kernel_cycles = max(1, self.cfg.kernel_cycles)
+        max_occ = 1
+        kinds = {inst.kind for inst in self._steps_iter()}
+        for kind in kinds:
+            if kind.is_compute:
+                max_occ = max(max_occ, self.machine.occupancy(kind))
+        passes = max(2, -(-max_occ // kernel_cycles) + 1)
+
+        usage: dict[tuple[ResourceClass, int], dict[int, list[int]]] = {}
+        # (node, cluster) -> the pools one instance reserves, with the
+        # offset and duration of each reservation.
+        slots_of: dict[
+            tuple[int, int], list[tuple[dict[int, list[int]], int, int]]
+        ] = {}
+        site_at: dict[int, BundleSite] = {}
+        for site in self.cfg.linearized(passes):
+            site_at[site.cycle] = site
+            for inst in site.bundle:
+                key = (inst.node, inst.cluster)
+                slots = slots_of.get(key)
+                if slots is None:
+                    slots = slots_of[key] = self._reservation_slots(inst, usage)
+                node_id = inst.node
+                for pool, offset, duration in slots:
+                    start = site.cycle + offset
+                    for cycle in range(start, start + duration):
+                        if cycle in pool:
+                            pool[cycle].append(node_id)
+                        else:
+                            pool[cycle] = [node_id]
+
+        for (resource, target), pool in sorted(
+            usage.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
+        ):
+            capacity = self.machine.instances(resource)
+            if capacity is None:
+                continue
+            for cycle in sorted(pool):
+                users = pool[cycle]
+                if len(users) <= capacity:
+                    continue
+                where = "interconnect" if target == -1 else f"cluster {target}"
+                site = site_at.get(cycle)
+                self._report(
+                    ViolationKind.RESOURCE,
+                    site,
+                    operation=sorted(users)[0],
+                    detail=(
+                        f"{len(users)} operations {sorted(set(users))} need "
+                        f"{resource.name} of {where} in one cycle but only "
+                        f"{capacity} instances exist"
+                    ),
+                )
+                break  # first overflow per pool is the diagnostic one
+
+    def _reservation_slots(
+        self,
+        inst: Instruction,
+        usage: dict[tuple[ResourceClass, int], dict[int, list[int]]],
+    ) -> list[tuple[dict[int, list[int]], int, int]]:
+        """The ``(pool, offset, duration)`` reservations of ``inst``."""
+        node = self._nodes.get(inst.node)
+        if node is None:
+            return []
+        slots: list[tuple[dict[int, list[int]], int, int]] = []
+        for step in reservation_steps(node.kind, self.machine):
+            if step.role is ClusterRole.SELF:
+                target = inst.cluster
+            elif step.role is ClusterRole.SOURCE:
+                if node.src_cluster is None:
+                    continue  # reported by the dataflow walk
+                target = node.src_cluster
+            else:
+                if self.machine.buses is None:
+                    continue  # unbounded interconnect
+                target = -1
+            pool = usage.setdefault((step.resource, target), {})
+            slots.append((pool, step.offset, step.duration))
+        return slots
+
+    def _steps_iter(self) -> list[Node]:
+        return [
+            self._nodes[inst.node]
+            for inst in self.code.all_instructions()
+            if inst.node in self._nodes
+        ]
+
+    # ------------------------------------------------------------------
+    # Register dataflow
+    # ------------------------------------------------------------------
+
+    def _initial_state(self) -> dict[str, _Content]:
+        """Loop-entry register contents (mirrors the simulator).
+
+        Copy ``c`` of a value's register set is owned by pre-loop
+        iteration ``c - MVE``; aliased copies of non-expanded values
+        overwrite each other in ascending copy order, leaving iteration
+        -1 - exactly :meth:`VliwSimulator._initial_registers`, with
+        symbolic live-ins in place of concrete values.
+        """
+        mve = self.code.mve_factor
+        state: dict[str, _Content] = {}
+        for value, names in sorted(self.code.registers.items()):
+            for copy, name in enumerate(names):
+                state[name] = ((value, copy - mve, True), -1)
+        return state
+
+    def _plan(self, node_id: int) -> _NodePlan | None:
+        """The graph facts of ``node_id`` (``None``: not walkable).
+
+        A node missing from the graph, or without a scheduled cycle, is
+        reported by :meth:`check_replication`.
+        """
+        node = self._nodes.get(node_id)
+        stage = self.stage_of.get(node_id)
+        if node is None or stage is None:
+            return None
+        graph = self.graph
+        modulus = self._live_in_modulus
+        return _NodePlan(
+            stage=stage,
+            cluster=self.schedule.clusters.get(node_id),
+            is_move=node.is_move,
+            src_cluster=node.src_cluster,
+            produces_value=node.produces_value,
+            has_reg_consumers=bool(graph.reg_consumers(node_id)),
+            kind_name=node.kind.value,
+            invariants=sorted(inv.name for inv in graph.invariants_of(node_id)),
+            reg_edges=tuple(
+                (edge.src, edge.distance, modulus.get(edge.src, 1),
+                 edge_latency(graph, edge, self.machine))
+                for edge in graph.reg_producers(node_id)
+            ),
+            other_edges=tuple(
+                (edge.src, edge.distance,
+                 edge_latency(graph, edge, self.machine), edge.kind.value)
+                for edge in graph.in_edges(node_id)
+                if edge.kind is not DepKind.REG
+            ),
+        )
+
+    def _check_instruction(
+        self,
+        site: BundleSite,
+        inst: Instruction,
+        plan: _NodePlan,
+        state: dict[str, _Content],
+        issued: dict[tuple[int, int], int],
+        writes: list[tuple[str, _Content, int]],
+    ) -> None:
+        node_id = inst.node
+        cycle = site.cycle
+        iteration = site.block - plan.stage
+        cluster = plan.cluster if plan.cluster is not None else inst.cluster
+
+        reg_names, inv_names = split_sources(inst.sources)
+
+        # Cluster locality: moves read from their declared source
+        # cluster, everything else from its own register file.
+        source_cluster = plan.src_cluster if plan.is_move else cluster
+        if plan.is_move and plan.src_cluster is None:
+            self._report(
+                ViolationKind.STRUCTURE,
+                site,
+                operation=node_id,
+                detail=f"move {node_id} declares no source cluster",
+            )
+        for name in reg_names:
+            owner = register_cluster(name)
+            if owner is None:
+                self._report(
+                    ViolationKind.OPERAND_MISMATCH,
+                    site,
+                    register=name,
+                    operation=node_id,
+                    detail=f"malformed register name {name!r}",
+                )
+            elif source_cluster is not None and owner != source_cluster:
+                self._report(
+                    ViolationKind.CROSS_CLUSTER,
+                    site,
+                    register=name,
+                    operation=node_id,
+                    detail=(
+                        f"node {node_id} on cluster {cluster} reads "
+                        f"{name} from cluster {owner} without a move"
+                        if not plan.is_move
+                        else f"move {node_id} reads {name} from cluster "
+                        f"{owner} but declares source {plan.src_cluster}"
+                    ),
+                )
+
+        # Invariant operands must be exactly the graph's.
+        expected_invariants = plan.invariants
+        if (inv_names or expected_invariants) and (
+            sorted(inv_names) != expected_invariants
+        ):
+            self._report(
+                ViolationKind.OPERAND_MISMATCH,
+                site,
+                operation=node_id,
+                detail=(
+                    f"invariant operands {sorted(inv_names)} != "
+                    f"{expected_invariants} required by the graph"
+                ),
+            )
+
+        # Resolve every register read (before any write of this bundle).
+        self.reads_checked += len(reg_names)
+        unmatched_reads: list[tuple[str, _Content | None]] = []
+        for name in reg_names:
+            content = state.get(name)
+            if content is None:
+                self._report(
+                    ViolationKind.UNDEFINED_READ,
+                    site,
+                    register=name,
+                    operation=node_id,
+                    detail=(
+                        f"node {node_id} reads {name} which no definition "
+                        "or live-in ever reaches"
+                    ),
+                )
+            unmatched_reads.append((name, content))
+
+        # The instances the graph's register operands require; pre-loop
+        # instances collapse onto the value's physical live-in
+        # registers (see ``_live_in_modulus``).
+        wanted: list[tuple[_Instance, int]] = []
+        for src, distance, modulus, latency in plan.reg_edges:
+            produced = iteration - distance
+            if produced < 0:
+                produced = produced % modulus - modulus
+            wanted.append(((src, produced, produced < 0), latency))
+        if len(reg_names) != len(wanted):
+            self._report(
+                ViolationKind.OPERAND_MISMATCH,
+                site,
+                operation=node_id,
+                detail=(
+                    f"{len(reg_names)} register operands for "
+                    f"{len(wanted)} register dependences"
+                ),
+            )
+        if len(wanted) > 1:
+            wanted.sort(key=_by_instance)
+
+        # Match reads against the graph's operands: exact instance
+        # matches first, then classify the leftovers.
+        for want, latency in wanted:
+            hit = None
+            for index, (name, content) in enumerate(unmatched_reads):
+                if content is not None and content[0] == want:
+                    hit = index
+                    break
+            if hit is not None:
+                name, content = unmatched_reads.pop(hit)
+                assert content is not None
+                write_cycle = content[1]
+                if not want[2] and cycle < write_cycle + latency:
+                    self._report(
+                        ViolationKind.LATENCY,
+                        site,
+                        register=name,
+                        operation=node_id,
+                        detail=(
+                            f"node {node_id} reads {_describe(want)} "
+                            f"{cycle - write_cycle} cycles "
+                            f"after its definition; latency is {latency}"
+                        ),
+                    )
+                continue
+            # No read observes the required instance: classify against
+            # the (deterministically chosen) first unmatched read.
+            offender = next(
+                ((n, c) for n, c in unmatched_reads if c is not None), None
+            )
+            if offender is None:
+                continue  # reads were undefined - already reported
+            name, content = offender
+            unmatched_reads.remove(offender)
+            assert content is not None
+            held = content[0]
+            if held[2] and not want[2]:
+                kind = ViolationKind.STALE_LIVE_IN
+            else:
+                kind = ViolationKind.WRONG_PRODUCER
+            self._report(
+                kind,
+                site,
+                register=name,
+                operation=node_id,
+                detail=(
+                    f"node {node_id} needs {_describe(want)} but {name} "
+                    f"holds {_describe(held)}"
+                ),
+            )
+
+        # Destination bookkeeping.
+        dest = inst.dest
+        if dest is not None:
+            if not plan.produces_value:
+                self._report(
+                    ViolationKind.OPERAND_MISMATCH,
+                    site,
+                    register=dest,
+                    operation=node_id,
+                    detail=f"{plan.kind_name} node {node_id} writes a register",
+                )
+            owner = register_cluster(dest)
+            if owner is not None and owner != cluster:
+                self._report(
+                    ViolationKind.CROSS_CLUSTER,
+                    site,
+                    register=dest,
+                    operation=node_id,
+                    detail=(
+                        f"node {node_id} on cluster {cluster} writes "
+                        f"{dest} of cluster {owner}"
+                    ),
+                )
+            writes.append((dest, ((node_id, iteration, False), cycle), node_id))
+        elif plan.has_reg_consumers:
+            self._report(
+                ViolationKind.OPERAND_MISMATCH,
+                site,
+                operation=node_id,
+                detail=(
+                    f"node {node_id} has register consumers but the "
+                    "instruction writes no destination"
+                ),
+            )
+
+        # Memory / control ordering across the concrete walk.
+        for src, distance, latency, kind_name in plan.other_edges:
+            produced = iteration - distance
+            if produced < 0:
+                continue
+            producer_cycle = issued.get((src, produced))
+            if producer_cycle is None:
+                producer_cycle = self.issue_cycle.get((src, produced))
+            if producer_cycle is None:
+                continue
+            if cycle < producer_cycle + latency:
+                self._report(
+                    ViolationKind.LATENCY,
+                    site,
+                    operation=node_id,
+                    detail=(
+                        f"{kind_name} dependence {src}->"
+                        f"{node_id} (d={distance}) violated: issued "
+                        f"{cycle - producer_cycle} cycles apart, "
+                        f"latency {latency}"
+                    ),
+                )
+        issued[(node_id, iteration)] = cycle
+
+    def _walk_site(
+        self,
+        site: BundleSite,
+        state: dict[str, _Content],
+        issued: dict[tuple[int, int], int],
+    ) -> None:
+        """Execute one bundle symbolically: read-first, then write back."""
+        self.bundles_checked += 1
+        plans = self._plans
+        writes: list[tuple[str, _Content, int]] = []
+        for inst in site.bundle:
+            node_id = inst.node
+            if node_id in plans:
+                plan = plans[node_id]
+            else:
+                plan = plans[node_id] = self._plan(node_id)
+            if plan is not None:
+                self._check_instruction(site, inst, plan, state, issued, writes)
+        written: dict[str, int] = {}
+        for name, content, node_id in writes:
+            earlier = written.get(name)
+            if earlier is not None:
+                self._report(
+                    ViolationKind.WRITE_WRITE,
+                    site,
+                    register=name,
+                    operation=node_id,
+                    detail=(
+                        f"nodes {earlier} and {node_id} both write {name} "
+                        f"in one bundle"
+                    ),
+                )
+            written[name] = node_id
+            state[name] = content
+
+    def _normalized(
+        self, state: dict[str, _Content], passes: int
+    ) -> frozenset[tuple[str, bool, int, int]]:
+        """State modulo the per-pass iteration shift (fixpoint test)."""
+        shift = passes * self.code.mve_factor
+        return frozenset(
+            (name, live_in, node, iteration - (0 if live_in else shift))
+            for name, ((node, iteration, live_in), _) in state.items()
+        )
+
+    def check_dataflow(self) -> None:
+        state = self._initial_state()
+        issued = self.issue_cycle
+        for site in self.cfg.prologue_sites():
+            self._walk_site(site, state, issued)
+
+        explored: set[frozenset[tuple[str, bool, int, int]]] = set()
+        max_passes = (
+            self.code.stage_count + self.code.mve_factor + MAX_FIXPOINT_SLACK
+        )
+        passes = 0
+        while True:
+            norm = self._normalized(state, passes)
+            if norm in explored:
+                break
+            explored.add(norm)
+            if passes >= 1:
+                # The pipeline may drain after *any* number of passes:
+                # replay the epilogue from the state entering this pass
+                # boundary, without committing its effects.
+                replay_state = dict(state)
+                replay_issued: dict[tuple[int, int], int] = {}
+                for site in self.cfg.epilogue_sites(passes):
+                    self._walk_site(site, replay_state, replay_issued)
+            if passes >= max_passes:
+                self._report(
+                    ViolationKind.STRUCTURE,
+                    None,
+                    detail=(
+                        f"register dataflow did not reach a fixpoint "
+                        f"within {max_passes} kernel passes"
+                    ),
+                )
+                break
+            for site in self.cfg.kernel_sites(passes):
+                self._walk_site(site, state, issued)
+            passes += 1
+        self.passes_checked = passes
+
+    # ------------------------------------------------------------------
+
+    def run(self) -> CertifierReport:
+        if self.check_structure():
+            self.check_replication()
+            self.check_resources()
+            self.check_dataflow()
+        return CertifierReport(
+            loop=self.code.loop,
+            machine=self.machine.name,
+            ii=self.code.ii,
+            stage_count=self.code.stage_count,
+            mve_factor=self.code.mve_factor,
+            passes_checked=self.passes_checked,
+            bundles_checked=self.bundles_checked,
+            reads_checked=self.reads_checked,
+            violations=tuple(self.violations),
+        )
+
+
+def legacy_certify_code(
+    code: GeneratedCode, schedule: ScheduleResult
+) -> CertifierReport:
+    """``certify_code`` through :class:`LegacyCertifier` (no tracing)."""
+    return LegacyCertifier(code, schedule).run()

@@ -23,12 +23,31 @@ from repro.analysis import BundleCFG, CertifierReport, ViolationKind
 from repro.analysis.cfg import register_cluster, split_sources
 from repro.codegen import generate_code
 from repro.codegen.emitter import CERTIFY_ENV, GeneratedCode
+from repro.core.params import MirsParams, SmtParams
+from repro.core.request import ScheduleRequest
 from repro.errors import CertificationError, CodegenError
+from repro.frontend.corpus import load_corpus
 from repro.graph.ddg import DepKind
 from repro.obs import RecordingTracer
-from repro.workloads.perfect import cached_suite
+from repro.workloads.perfect import SUITE_SIZE, build_loop, cached_suite
+from repro.workloads.stress import stress_suite
 
-from tests.helpers import FOUR_CLUSTER_TIGHT, UNIFIED, daxpy, reduction
+from tests.helpers import (
+    FOUR_CLUSTER,
+    FOUR_CLUSTER_TIGHT,
+    UNIFIED,
+    daxpy,
+    legacy_certify_code,
+    reduction,
+)
+
+
+def certify(code: GeneratedCode, result) -> CertifierReport:
+    """``certify_code``, asserted equal field for field to the certifier
+    that ran its static checks on every visit."""
+    report = certify_code(code, result)
+    assert report == legacy_certify_code(code, result), result.loop
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +230,7 @@ def workbench_reports(request):
     reports = []
     for loop in loops:
         result = scheduler.schedule(loop.graph.clone())
-        reports.append(certify_code(generate_code(result), result))
+        reports.append(certify(generate_code(result), result))
     return reports
 
 
@@ -232,6 +251,63 @@ class TestCleanWorkbench:
         the cost model the <5%-of-differential gate relies on."""
         for report in workbench_reports:
             assert report.passes_checked <= 3, report.summary()
+
+
+# ----------------------------------------------------------------------
+# The certifier equals its every-visit oracle on the benchmark's pairs
+# ----------------------------------------------------------------------
+
+
+def _perfbench_schedules(held_out: bool):
+    """Every pair of ``perfbench/harness.py``'s four workloads at one of
+    their two population seeds, scheduled as its pipeline schedules
+    them (serial search, native exact engine)."""
+    def request(scheduler: str, search: str) -> ScheduleRequest:
+        params = MirsParams(
+            ii_search=search, speculation=1, smt=SmtParams(engine="native")
+        )
+        return ScheduleRequest(scheduler=scheduler, params=params, trace=False)
+
+    workbench_seed, stress_seed = (2002, 7002) if held_out else (2001, 7001)
+    indices = [int(i * SUITE_SIZE / 16) for i in range(16)]
+    workbench = [
+        build_loop(index, SUITE_SIZE, workbench_seed).graph for index in indices
+    ]
+    pairs = [
+        (request("mirsc", "linear"), machine, graph)
+        for graph in workbench
+        for machine in (UNIFIED, FOUR_CLUSTER)
+    ]
+    pairs += [
+        (request("mirsc", "linear"), machine, kernel.graph)
+        for kernel in load_corpus()
+        for machine in (UNIFIED, FOUR_CLUSTER)
+    ]
+    pairs += [
+        (request("mirsc", "geometric"), UNIFIED, graph)
+        for graph in stress_suite(10, stress_seed)
+        if len(graph) <= 250
+    ]
+    pairs += [
+        (request("smt", "linear"), UNIFIED, graph)
+        for graph in [kernel.graph for kernel in load_corpus()] + workbench
+        if len(graph) <= 40
+    ]
+    for req, machine, graph in pairs:
+        result = req.make_scheduler(machine, strict=False).schedule(graph.clone())
+        if result.converged:
+            yield result
+
+
+class TestEveryVisitOracle:
+    @pytest.mark.parametrize("held_out", (False, True),
+                             ids=("population", "held-out"))
+    def test_perfbench_pairs(self, held_out):
+        certified = 0
+        for result in _perfbench_schedules(held_out):
+            assert certify(generate_code(result), result).ok, result.loop
+            certified += 1
+        assert certified >= 80
 
 
 class TestConvenienceApi:
@@ -305,10 +381,10 @@ class TestSabotage:
             if mutate is collapse_move_source
             else deep_schedule
         )
-        clean = certify_code(code, result)
+        clean = certify(code, result)
         assert clean.ok, clean.summary()
         mutated = mutate(code)
-        report = certify_code(mutated, result)
+        report = certify(mutated, result)
         assert not report.ok
         assert expected_kind in report.kinds(), report.summary()
 
@@ -324,7 +400,7 @@ class TestSabotage:
         index, inst = victim
         kernel[index] = kernel[index] + [inst]
         bad = dataclasses.replace(code, kernel=kernel)
-        report = certify_code(bad, result)
+        report = certify(bad, result)
         assert ViolationKind.WRITE_WRITE in report.kinds(), report.summary()
 
     def test_dropped_instruction_breaks_replication(self, deep_schedule):
@@ -338,7 +414,7 @@ class TestSabotage:
                 break
         assert removed is not None
         bad = dataclasses.replace(code, kernel=kernel)
-        report = certify_code(bad, result)
+        report = certify(bad, result)
         assert ViolationKind.REPLICATION in report.kinds(), report.summary()
         assert any(
             v.operation == removed.node
@@ -353,7 +429,7 @@ class TestSabotage:
             return name.replace("r0.", "r999.")
 
         bad = _map_names(code, rename, sections=("kernel",))
-        report = certify_code(bad, result)
+        report = certify(bad, result)
         assert not report.ok
         assert report.kinds() & {
             ViolationKind.UNDEFINED_READ,
@@ -371,7 +447,7 @@ class TestSabotage:
             machine,
             latencies={kind: lat + 8 for kind, lat in machine.latencies.items()},
         )
-        report = certify_code(code, dataclasses.replace(result, machine=slower))
+        report = certify(code, dataclasses.replace(result, machine=slower))
         reads = [
             v for v in report.violations
             if v.kind is ViolationKind.LATENCY and v.register is not None
@@ -389,7 +465,7 @@ class TestSabotage:
         assert gap > 0
         graph = result.graph.clone()
         graph.add_edge(first, second, kind=DepKind.MEM, latency=gap + 1)
-        report = certify_code(code, dataclasses.replace(result, graph=graph))
+        report = certify(code, dataclasses.replace(result, graph=graph))
         ordering = [
             v for v in report.violations
             if v.kind is ViolationKind.LATENCY and v.register is None
@@ -411,7 +487,7 @@ class TestSabotage:
         foreign = (inst.cluster + 1) % result.machine.clusters
         dest = f"c{foreign}:" + inst.dest.partition(":")[2]
         kernel[index][position] = dataclasses.replace(inst, dest=dest)
-        report = certify_code(dataclasses.replace(code, kernel=kernel), result)
+        report = certify(dataclasses.replace(code, kernel=kernel), result)
         assert any(
             v.kind is ViolationKind.CROSS_CLUSTER and v.register == dest
             for v in report.violations
@@ -431,16 +507,93 @@ class TestSabotage:
         )
         foreign = (inst.cluster + 1) % result.machine.clusters
         kernel[index] += [dataclasses.replace(inst, cluster=foreign)] * 3
-        report = certify_code(dataclasses.replace(code, kernel=kernel), result)
+        report = certify(dataclasses.replace(code, kernel=kernel), result)
         assert any(
             v.kind is ViolationKind.RESOURCE and f"of cluster {foreign} " in v.detail
+            for v in report.violations
+        ), report.summary()
+
+    @pytest.mark.parametrize("mutation", (
+        "malformed-source", "extra-source", "bogus-invariant",
+        "missing-destination", "store-destination",
+    ))
+    def test_static_operand_checks_in_every_section(
+        self, mutation, deep_schedule
+    ):
+        """Each static operand or destination defect, planted in every
+        instance of one node, is reported once per (section, bundle) -
+        prologue, kernel and epilogue alike - however many kernel passes
+        and epilogue replays revisit the bundle."""
+        result, code = deep_schedule
+        graph = result.graph
+        if mutation == "store-destination":
+            node = next(
+                n.id for n in graph.nodes() if not n.produces_value
+            )
+        else:
+            node = next(
+                n.id for n in graph.nodes()
+                if graph.reg_consumers(n.id) and graph.reg_producers(n.id)
+            )
+
+        def mutate(inst):
+            if inst.node != node:
+                return inst
+            if mutation == "malformed-source":
+                return dataclasses.replace(
+                    inst, sources=("bogus",) + inst.sources[1:]
+                )
+            if mutation == "extra-source":
+                return dataclasses.replace(
+                    inst, sources=inst.sources + inst.sources[:1]
+                )
+            if mutation == "bogus-invariant":
+                return dataclasses.replace(
+                    inst, sources=inst.sources + ("inv:bogus",)
+                )
+            if mutation == "missing-destination":
+                return dataclasses.replace(inst, dest=None)
+            return dataclasses.replace(inst, dest="c0:r99")
+
+        bad = dataclasses.replace(code, **{
+            section: [[mutate(i) for i in b] for b in getattr(code, section)]
+            for section in ("prologue", "kernel", "epilogue")
+        })
+        report = certify(bad, result)
+        assert ViolationKind.OPERAND_MISMATCH in report.kinds()
+        sites = {
+            (v.section, v.bundle)
+            for v in report.violations
+            if v.kind is ViolationKind.OPERAND_MISMATCH
+        }
+        assert {section for section, _ in sites} == {
+            section for section in ("prologue", "kernel", "epilogue")
+            if any(i.node == node for b in getattr(code, section) for i in b)
+        }
+        keys = [
+            (v.kind, v.section, v.bundle, v.register, v.operation)
+            for v in report.violations
+        ]
+        assert len(keys) == len(set(keys))
+        assert report.passes_checked >= 2
+
+    def test_move_without_source_cluster_is_structural(
+        self, clustered_schedule
+    ):
+        result, code = clustered_schedule
+        graph = result.graph.clone()
+        move = next(n for n in graph.nodes() if n.is_move)
+        move.src_cluster = None
+        report = certify(code, dataclasses.replace(result, graph=graph))
+        assert any(
+            v.kind is ViolationKind.STRUCTURE and v.operation == move.id
             for v in report.violations
         ), report.summary()
 
     def test_truncated_epilogue_is_structural(self, deep_schedule):
         result, code = deep_schedule
         bad = dataclasses.replace(code, epilogue=code.epilogue[:-1])
-        report = certify_code(bad, result)
+        report = certify(bad, result)
         assert report.kinds() == {ViolationKind.STRUCTURE}
 
     def test_violations_are_deduplicated_across_passes(self, deep_schedule):
@@ -448,7 +601,7 @@ class TestSabotage:
         explored kernel pass / epilogue replay."""
         result, code = deep_schedule
         bad = drop_copy_label_shift(code)
-        report = certify_code(bad, result)
+        report = certify(bad, result)
         keys = [
             (v.kind, v.section, v.bundle, v.register, v.operation)
             for v in report.violations

@@ -809,6 +809,58 @@ class TestConstantSubscripts:
         assert diff.match and diff.source_match is True, diff.summary()
 
 
+#: Stride-2 kernels outside the corpus, with the memory arcs of ``a``
+#: each must carry, as (source offset, destination offset, distance).
+#: ``a[i - 1]`` reads the odd words that ``a[i]`` never writes; ``a[i -
+#: 2]`` reads the word the previous iteration wrote; ``a[i + 1]`` writes
+#: the odd word the next iteration reads through ``a[i - 1]``.
+STRIDE_TWO = {
+    "odd-read": ("""
+def stride2_odd(a, b, n):
+    for i in range(0, n, 2):
+        a[i] = a[i - 1] * 0.5 + b[i]
+""", set()),
+    "distance-one-flow": ("""
+def stride2_flow(a, b, n):
+    for i in range(0, n, 2):
+        a[i] = a[i - 2] + b[i]
+""", {(0, -2, 1)}),
+    "odd-write": ("""
+def stride2_pair(a, b, n):
+    for i in range(0, n, 2):
+        a[i] = a[i - 1] + b[i]
+        a[i + 1] = a[i] * 0.5
+""", {(0, 0, 0), (1, -1, 1)}),
+}
+
+
+class TestStrideTwo:
+    @pytest.mark.parametrize("name", STRIDE_TWO)
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    def test_schedules_certifies_and_matches(self, name, machine):
+        text, arcs = STRIDE_TWO[name]
+        lowered = lower_kernel(one_kernel(text))
+        graph = lowered.graph
+        assert {
+            (graph.node(e.src).mem_ref.offset,
+             graph.node(e.dst).mem_ref.offset, e.distance)
+            for e in graph.edges()
+            if e.kind is DepKind.MEM
+        } == arcs
+        result = ScheduleRequest().make_scheduler(machine).schedule(
+            graph.clone()
+        )
+        assert result.converged
+        code = generate_code(result)
+        report = certify_code(code, result)
+        assert report.ok, report.summary()
+        diff = run_source_differential(
+            lowered, result, 24, cache=False, code=code
+        )
+        assert diff.hazards == ()
+        assert diff.match and diff.source_match is True, diff.summary()
+
+
 # ----------------------------------------------------------------------
 # One source run for links 1 and 3, one emission per pair
 # ----------------------------------------------------------------------

@@ -105,6 +105,22 @@ class TestOps:
         assert ops.evaluator(kind)(shuffled) == expected
         assert ops.evaluate(kind, tuple(shuffled)) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        word=st.integers(-(2**64), 2**64),
+        iteration=st.integers(-(2**40), 2**40),
+    )
+    def test_identity_values_equal_their_folds(self, word, iteration):
+        """The unrolled identity functions equal ``fold`` over the
+        one- or two-word lists they were defined by."""
+        assert ops.initial_memory(word) == ops.fold(ops._MEMORY_SALT, [word])
+        assert ops.invariant_value(word) == ops.fold(
+            ops._INVARIANT_SALT, [word]
+        )
+        assert ops.initial_value(word, iteration) == ops.fold(
+            ops._LIVE_IN_SALT, [word, iteration & 0xFFFF_FFFF]
+        )
+
 
 # ----------------------------------------------------------------------
 # Reference interpreter
@@ -218,11 +234,14 @@ class TestSimulator:
         assert stalls_normal > 0
         assert stalls_prefetched < stalls_normal
 
-    def test_state_digest_is_deterministic(self):
+    def test_two_runs_agree_on_result_and_end_state(self):
         result = MirsC(UNIFIED).schedule(daxpy())
-        first = simulate(result, 25).result
-        second = simulate(result, 25).result
-        assert first == second
+        first = simulate(result, 25)
+        second = simulate(result, 25)
+        assert first.result == second.result
+        assert first.values == second.values
+        assert first.memory == second.memory
+        assert first.registers == second.registers
 
 
 # ----------------------------------------------------------------------
