@@ -34,6 +34,10 @@ class OpKind(enum.Enum):
     STORE = "store"
     MOVE = "move"
 
+    # Members are singletons compared by identity: hash them in C rather
+    # than through Enum.__hash__ (every latency-table lookup hashes one).
+    __hash__ = object.__hash__
+
     @property
     def is_memory(self) -> bool:
         """True for operations that occupy a memory port."""

@@ -39,7 +39,8 @@ class PartialSchedule:
         self.prev_cycle: dict[int, int] = {}
         #: Placement observers (the incremental pressure tracker).  Each
         #: listener implements ``on_place(node, cluster, cycle)``,
-        #: ``on_eject(node_id)`` and ``on_restamp(node_id)``;
+        #: ``on_eject(node_id, cycle)`` (the cycle it left) and
+        #: ``on_restamp(node_id)``;
         #: notifications fire *after* the schedule's own state changed.
         self.listeners: list = []
 
@@ -178,7 +179,7 @@ class PartialSchedule:
         del self._seq[node_id]
         del self._rows[old[1] % self.ii][node_id]
         for listener in self.listeners:
-            listener.on_eject(node_id)
+            listener.on_eject(node_id, old[1])
         return old
 
     def restamp(self, node: Node, src_cluster: int | None = None) -> None:

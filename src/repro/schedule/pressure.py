@@ -14,9 +14,14 @@ subscribes to the :class:`~repro.schedule.partial.PartialSchedule`
 insertion) and updates only the affected value lifetimes - O(degree)
 per event:
 
-* ``place(v)`` / ``eject(v)``: the lifetime of v's own value starts/ends,
-  and each scheduled register *producer* of v gains/loses the use at v
-  (their lifetime ends and use segments change);
+* ``place(v)``: v's own value gets a fresh lifetime, and v's REG
+  in-edges are walked once: each scheduled register *producer* of v
+  gains the use at v (a **placement delta**).  Its end only grows, so
+  only ``[old_end, new_end)`` is folded; a use before the producer's
+  start lowers ``low`` instead;
+* ``eject(v)``: v's own lifetime is dropped and v's uses (at the cycle
+  v left) are removed from each producer; only a producer whose
+  ``end`` or ``low`` a removed use set is refreshed in full;
 * ``restamp(v)`` (v placed again where it was): no lifetime changes,
   only v's entry moves to the end, since lifetimes are listed in
   placement order;
@@ -28,12 +33,14 @@ Per cluster the live-variant counts are a scalar **base** (the full II
 periods of every lifetime, which cover all rows alike) plus a plain list
 of II row counts that only the remainder of each lifetime is folded
 into.  MaxLive is ``base + max(rows)`` and the critical row is
-``rows.index(max(rows))``, the first row among equals.  At IIs up to
-about 90 a list fold costs no more than an array-library call's fixed
-overhead, so plain integer lists are used throughout: here, in
-:class:`LifetimeAnalysis`, in the ``pressure`` snapshot and in the
-self-check comparisons.  A refresh that leaves a value's lifetime
-where it was folds nothing.
+``rows.index(max(rows))``, the first row among equals.  The tracker
+**keeps that peak**: a ``+1`` fold raises it to the top of the rows it
+touched, a ``-1`` fold marks it stale, and the next query recomputes
+it.  At IIs up to about 90 a list fold costs no more than an
+array-library call's fixed overhead, so plain integer lists are used
+throughout: here, in :class:`LifetimeAnalysis`, in the ``pressure``
+snapshot and in the self-check comparisons.  A refresh that leaves a
+value's lifetime where it was folds nothing.
 
 A refresh that moves only a value's end (same cluster, same start) is a
 **delta fold**: just ``[old_end, new_end)`` is folded, with the sign of
@@ -44,9 +51,10 @@ constant, so rows can even go negative), which leaves MaxLive, the
 critical row and ``variant_rows`` unchanged.
 
 **Use segments are lazy.**  A refresh keeps the value's ``uses``
-(``(use cycle, consumer, distance)`` triples) and marks its segments
-stale; they are built, in ``sorted(uses)`` order, by the first query
-that reads the entry.  The spill heuristic's query is
+(``(use cycle, consumer, distance)`` triples) and, unless only their
+order changed, marks its segments stale; they are built, in
+``sorted(uses)`` order, by the first query that reads the entry.  The
+spill heuristic's query is
 :meth:`PressureTracker.segments_crossing`: exactly the segments of a
 cluster that cross one MRT row, in placement order.  Each entry keeps
 the II-bit mask of the rows its lifetime covers, so a value whose
@@ -75,6 +83,7 @@ from __future__ import annotations
 
 from repro.env import env_flag
 from repro.graph.ddg import DepKind, DependenceGraph, Edge, Node
+from repro.graph.latency import node_latency
 from repro.machine.config import MachineConfig
 from repro.machine.resources import OpKind
 from repro.schedule.lifetimes import (
@@ -127,9 +136,11 @@ def fold_lifetime(
 class _Entry:
     """Tracked lifetime of one scheduled value.
 
-    ``uses`` are the ``(use cycle, consumer, distance)`` triples the last
-    refresh found; ``segments`` are built from them on the first query
-    that reads this entry (``None`` = not built since the uses changed).
+    ``uses`` are the ``(use cycle, consumer, distance)`` triples of the
+    scheduled REG consumers, in no particular order (placement deltas
+    append and remove them); ``segments`` are built from ``sorted(uses)``
+    on the first query that reads this entry (``None`` = not built since
+    the uses changed).
     """
 
     __slots__ = (
@@ -213,6 +224,9 @@ class PressureTracker:
         self._rows: list[list[int]] = [
             [0] * self.ii for _ in range(machine.clusters)
         ]
+        #: Per cluster: the kept ``max(rows)``, or ``None`` when a
+        #: ``-1`` fold left it stale (the next query recomputes it).
+        self._peak: list[int | None] = [0] * machine.clusters
         #: Invariant registers per cluster, cached between the events
         #: that can change them (``None`` = stale), with the invariant
         #: readers and the spilled set they were computed from.
@@ -221,7 +235,6 @@ class PressureTracker:
         self._spilled_snapshot: frozenset[tuple[int, int]] = frozenset()
         self._entries: dict[int, _Entry] = {}
         self._all_rows = (1 << self.ii) - 1
-        self._latency_cache: dict[OpKind, int] = {}
         self._lifetimes_cache: list[ValueLifetime] | None = None
         #: Downstream observers of *lifetime* changes (the incremental
         #: arc-colouring engine).  Each listener implements
@@ -253,19 +266,67 @@ class PressureTracker:
     # ------------------------------------------------------------------
 
     def on_place(self, node: Node, cluster: int, cycle: int) -> None:
-        if node.id in self._invariant_readers:
+        node_id = node.id
+        if node_id in self._invariant_readers:
             self._invariant_counts = None
         if node.kind is not _STORE:
-            self._refresh(node.id)
-        self._refresh_producers(node.id)
+            self._refresh(node_id)
+        # Placement delta: each scheduled producer gains the use at the
+        # node (one per REG edge; a self-loop is the node's own refresh).
+        entries = self._entries
+        ii = self.ii
+        grown: dict[int, int] = {}
+        for edge in self.graph._in[node_id]:
+            src = edge.src
+            if edge.kind is not _REG or src == node_id:
+                continue
+            entry = entries.get(src)
+            if entry is None:
+                continue
+            distance = edge.distance
+            use_cycle = cycle + ii * distance
+            entry.uses.append((use_cycle, node_id, distance))
+            entry.segments = None
+            if use_cycle > entry.end:
+                end = grown.get(src)
+                if end is None or use_cycle > end:
+                    grown[src] = use_cycle
+            elif use_cycle < entry.low:
+                entry.low = use_cycle
+                entry.reach = self._reach(use_cycle, entry.end)
+        # Each end moves just before its own announcement, so a listener
+        # sees the tracker's entries as it has been told of them.
+        for src, end in grown.items():
+            entry = entries[src]
+            old_end = entry.end
+            entry.end = end
+            entry.reach = self._reach(entry.low, end)
+            self._moved_end(entry, old_end)
         if self.self_check:
             self.assert_matches_scratch()
 
-    def on_eject(self, node_id: int) -> None:
+    def on_eject(self, node_id: int, cycle: int) -> None:
         if node_id in self._invariant_readers:
             self._invariant_counts = None
         self._drop(node_id)
-        self._refresh_producers(node_id)
+        # Placement delta: each scheduled producer loses the use at the
+        # node's old cycle.  Only a producer whose end or low bound that
+        # use set is refreshed in full.
+        entries = self._entries
+        ii = self.ii
+        moved: set[int] = set()
+        for edge in self.graph._in[node_id]:
+            entry = entries.get(edge.src)
+            if entry is None or edge.kind is not _REG:
+                continue  # the node's own entry is dropped already
+            distance = edge.distance
+            use_cycle = cycle + ii * distance
+            entry.uses.remove((use_cycle, node_id, distance))
+            entry.segments = None
+            if use_cycle >= entry.end or use_cycle <= entry.low:
+                moved.add(edge.src)
+        for src in moved:
+            self._refresh(src)
         if self.self_check:
             self.assert_matches_scratch()
 
@@ -304,27 +365,14 @@ class PressureTracker:
     # Incremental maintenance
     # ------------------------------------------------------------------
 
-    def _latency(self, node: Node) -> int:
-        if node.latency_override is not None:
-            return node.latency_override
-        kind = node.kind
-        latency = self._latency_cache.get(kind)
-        if latency is None:
-            latency = self.machine.latency(kind)
-            self._latency_cache[kind] = latency
-        return latency
-
-    def _refresh_producers(self, node_id: int) -> None:
-        """Re-derive every scheduled producer feeding ``node_id``."""
-        entries = self._entries
-        producers = {
-            edge.src
-            for edge in self.graph._in[node_id]
-            if edge.kind is _REG and edge.src != node_id
-        }
-        for src in producers:
-            if src in entries:
-                self._refresh(src)
+    def _moved_end(self, entry: _Entry, old_end: int) -> None:
+        """Fold and announce a placement delta that moved an end."""
+        self._lifetimes_cache = None
+        cluster, start, end = entry.cluster, entry.start, entry.end
+        self._fold_end(cluster, old_end, end)
+        self._notify_lifetime(
+            entry.value, (cluster, start, old_end), (cluster, start, end)
+        )
 
     def _refresh(self, node_id: int) -> None:
         """Recompute one scheduled value's lifetime and uses.
@@ -344,7 +392,7 @@ class PressureTracker:
         if node.kind is _STORE:
             return  # stores define no value (and never hold an entry)
         cluster = self.schedule._cluster[node_id]
-        ready = start + self._latency(node)
+        ready = start + node_latency(node, self.machine)
         ii = self.ii
         end = ready
         low = start
@@ -371,15 +419,18 @@ class PressureTracker:
             self._notify_lifetime(node_id, None, (cluster, start, end))
             return
         old_cluster, old_start, old_end = entry.cluster, entry.start, entry.end
-        if (
-            uses != entry.uses
-            or ready != entry.ready
-            or cluster != old_cluster
-            or start != old_start
-        ):
+        if ready != entry.ready or cluster != old_cluster or start != old_start:
             entry.cluster, entry.start, entry.ready = cluster, start, ready
             entry.uses = uses
             entry.segments = None
+        elif uses != entry.uses:
+            # This walk lists uses in out-edge order, placement deltas in
+            # placement order: segments, built from the sorted uses, stand
+            # when only the order differs.
+            kept = entry.uses
+            if len(uses) != len(kept) or sorted(uses) != sorted(kept):
+                entry.segments = None
+            entry.uses = uses
         if end != old_end or low != entry.low:
             entry.end, entry.low = end, low
             entry.reach = self._reach(low, end)
@@ -469,7 +520,23 @@ class PressureTracker:
         if full:
             self._base[cluster] += sign * full
         if rest:
-            fold_lifetime(self._rows[cluster], self.ii, start, start + rest, sign)
+            rows = self._rows[cluster]
+            fold_lifetime(rows, self.ii, start, start + rest, sign)
+            if sign < 0:
+                self._peak[cluster] = None
+                return
+            peak = self._peak[cluster]
+            if peak is None:
+                return  # stale: the next query recomputes it
+            # Only the rows this fold raised can top the kept peak.
+            first = start % self.ii
+            tail = first + rest
+            if tail > self.ii:
+                top = max(max(rows[first:]), max(rows[: tail - self.ii]))
+            else:
+                top = max(rows[first:tail])
+            if top > peak:
+                self._peak[cluster] = top
 
     def _fold_end(self, cluster: int, old_end: int, end: int) -> None:
         """Move a lifetime's end: fold only ``[old_end, end)`` (or remove
@@ -517,28 +584,38 @@ class PressureTracker:
         base = self._base[cluster]
         return [base + r for r in self._rows[cluster]]
 
+    def _row_peak(self, cluster: int) -> int:
+        """``max(rows)`` of a cluster: the kept peak, recomputed when
+        stale."""
+        peak = self._peak[cluster]
+        if peak is None:
+            peak = self._peak[cluster] = max(self._rows[cluster])
+        return peak
+
     def max_live(self, cluster: int) -> int:
         self.queries += 1
         return (
             self._base[cluster]
-            + max(self._rows[cluster])
+            + self._row_peak(cluster)
             + self.invariant_registers(cluster)
         )
 
     def critical_row(self, cluster: int) -> int:
         self.queries += 1
-        rows = self._rows[cluster]
-        return rows.index(max(rows))
+        return self._rows[cluster].index(self._row_peak(cluster))
 
     def max_live_all(self) -> dict[int, int]:
         """MaxLive of every cluster, with one invariant-count lookup."""
         self.queries += 1
         counts = self._invariant_registers()
         base = self._base
-        return {
-            cluster: base[cluster] + max(rows) + counts.get(cluster, 0)
-            for cluster, rows in enumerate(self._rows)
-        }
+        peaks = self._peak
+        live = {}
+        for cluster, peak in enumerate(peaks):
+            if peak is None:
+                peak = self._row_peak(cluster)
+            live[cluster] = base[cluster] + peak + counts.get(cluster, 0)
+        return live
 
     @property
     def pressure(self) -> dict[int, ClusterPressure]:
@@ -614,7 +691,8 @@ class PressureTracker:
     def assert_matches_scratch(self) -> None:
         """Assert bit-identity with a from-scratch ``LifetimeAnalysis``.
 
-        Compares rows, invariant counts, MaxLive, critical rows, the
+        Compares the kept peak (unless stale) with ``max(rows)``, then
+        rows, invariant counts, MaxLive, critical rows, the
         segments crossing each critical row, the full lifetime list and
         the full segment list (both in placement order).  Raises
         ``AssertionError`` with context on any mismatch.
@@ -628,6 +706,12 @@ class PressureTracker:
         )
         counts = self._invariant_registers()
         for cluster in range(self.machine.clusters):
+            peak = self._peak[cluster]
+            if peak is not None and peak != max(self._rows[cluster]):
+                raise AssertionError(
+                    f"kept peak diverged in cluster {cluster}: "
+                    f"peak={peak} max(rows)={max(self._rows[cluster])}"
+                )
             expected = scratch.pressure[cluster]
             got_rows = self.variant_rows(cluster)
             if got_rows != expected.rows:

@@ -164,6 +164,37 @@ class TestIncrementalAllocatorEquivalence:
             assert report.match, report.summary()
 
 
+@pytest.mark.parametrize("seed", [7001, 7002])
+def test_stress_fingerprints(seed):
+    """The geometric-search schedules of the stress loops of at most 250
+    nodes among the first 10 of a population seed (perfbench's stress
+    workload) reproduce the committed fingerprints bit for bit.  The
+    speculation width is left to ``REPRO_SPECULATION``, so a K=4 run
+    must reproduce them too."""
+    import json
+    import pathlib
+
+    from repro.exec import result_fingerprint
+    from repro.machine.config import parse_config
+    from repro.workloads.stress import stress_suite
+
+    config = "1-(GP8M4-REG64)"
+    expected = json.loads(
+        (pathlib.Path(__file__).parent / "data" / "stress_fingerprints.json")
+        .read_text()
+    )[config][str(seed)]
+    machine = parse_config(config)
+    params = MirsParams(ii_search="geometric")
+    got = {
+        graph.name: result_fingerprint(
+            MirsC(machine, params=params, strict=False).schedule(graph)
+        )
+        for graph in stress_suite(10, seed)
+        if len(graph) <= 250
+    }
+    assert got == expected
+
+
 class TestPaperScaleRegressions:
     """Latent bugs surfaced by the first full 1258-loop nightly sweep
     (the 16-loop subset never hits them).  Built-in verification always

@@ -326,3 +326,169 @@ class TestDeltaFold:
         assert moved.variant_rows(0) == fresh.variant_rows(0)
         assert moved.critical_row(0) == fresh.critical_row(0)
         assert moved.max_live(0) == fresh.max_live(0)
+
+
+class TestPlacementDeltas:
+    """A placement or ejection updates only the producers it feeds:
+    each gains or loses the consumer's uses, and ``end`` / ``low`` move
+    only when one of those uses set them.  Every case runs the tracker
+    with its self-check on, so each event is compared with a
+    from-scratch analysis, the kept peak included."""
+
+    II = 8
+
+    @staticmethod
+    def _replay(graph, events):
+        from repro.schedule.partial import PartialSchedule
+
+        schedule = PartialSchedule(UNIFIED, ii=TestPlacementDeltas.II)
+        tracker = PressureTracker(graph, schedule, UNIFIED, self_check=True)
+        for event in events:
+            if event[0] == "place":
+                schedule.place(graph.node(event[1].id), 0, event[2])
+            else:
+                schedule.eject(event[1].id)
+            scratch = LifetimeAnalysis(graph, schedule, UNIFIED)
+            for row in range(TestPlacementDeltas.II):
+                assert tracker.segments_crossing(
+                    0, row
+                ) == scratch.segments_crossing(0, row)
+        return tracker
+
+    def test_parallel_edges_at_two_distances(self):
+        """Two REG edges from one producer to one consumer (distances 0
+        and 2) add two uses on placement and lose both on ejection."""
+        from repro.graph.builder import LoopBuilder
+
+        b = LoopBuilder("parallel")
+        x = b.load(array=0)
+        y = b.add(x)
+        b.loop_carried(x, y, distance=2)
+        b.store(y, array=1)
+        graph = b.build()
+        tracker = self._replay(
+            graph,
+            [("place", x, 0), ("place", y, 3), ("eject", y),
+             ("place", y, 5), ("eject", x), ("place", x, 1)],
+        )
+        assert sorted(u[2] for u in tracker._entries[x.id].uses) == [0, 2]
+        assert tracker.lifetime_bounds(x.id) == (1, 5 + 2 * self.II)
+        tracker.detach()
+
+    def test_self_loop_recurrence_on_the_producer(self):
+        from repro.graph.builder import LoopBuilder
+
+        b = LoopBuilder("self-loop")
+        x = b.load(array=0)
+        acc = b.add(x)
+        b.loop_carried(acc, acc, distance=1)
+        out = b.mul(acc)
+        b.store(out, array=1)
+        graph = b.build()
+        tracker = self._replay(
+            graph,
+            [("place", acc, 4), ("place", out, 9), ("place", x, 0),
+             ("eject", out), ("eject", acc), ("place", acc, 2),
+             ("place", out, 20)],
+        )
+        assert tracker.lifetime_bounds(acc.id) == (2, 20)
+        tracker.detach()
+
+    def test_consumer_before_its_producer_moves_low(self):
+        """A consumer placed before its producer's start (a violated
+        dependence) lowers ``low``: the segment that starts before the
+        lifetime must still be found by the row filter."""
+        from repro.graph.builder import LoopBuilder
+
+        b = LoopBuilder("early-consumer")
+        x = b.load(array=0)
+        early = b.add(x)
+        late = b.add(x)
+        graph = b.build()
+        tracker = self._replay(
+            graph,
+            [("place", x, 4), ("place", late, 10), ("place", early, 0),
+             ("eject", early), ("place", early, 1)],
+        )
+        assert tracker._entries[x.id].low == 1
+        tracker.detach()
+
+    def test_ejecting_the_last_use_shrinks_the_end(self):
+        """Ejecting the consumer that held a producer's last use folds
+        the end back (a ``-1`` fold), and the kept peak goes stale."""
+        from repro.graph.builder import LoopBuilder
+
+        b = LoopBuilder("last-use")
+        x = b.load(array=0)
+        near = b.add(x)
+        far = b.add(x)
+        graph = b.build()
+        tracker = self._replay(
+            graph, [("place", x, 0), ("place", near, 2), ("place", far, 7)]
+        )
+        assert tracker.lifetime_bounds(x.id) == (0, 7)
+        assert tracker.max_live(0) == 3
+        # The self-check's own queries would recompute the peak.
+        tracker.self_check = False
+        tracker.schedule.eject(far.id)
+        assert tracker._peak[0] is None
+        tracker.assert_matches_scratch()
+        assert tracker.lifetime_bounds(x.id) == (0, 2)
+        assert tracker.max_live(0) == 1
+        assert tracker._peak[0] == 1
+        tracker.detach()
+
+    def test_eject_takes_the_cycle_from_the_schedule_event(self):
+        """The uses an ejection removes sit at the cycle the schedule
+        hands its listeners, whatever ``prev_cycle`` (a re-placement
+        aid) holds by then."""
+        from repro.graph.builder import LoopBuilder
+
+        b = LoopBuilder("eject-cycle")
+        x = b.load(array=0)
+        y = b.add(x)
+        graph = b.build()
+        tracker = self._replay(graph, [("place", x, 0), ("place", y, 5)])
+        tracker.schedule.prev_cycle.clear()
+        tracker.schedule.eject(y.id)
+        assert tracker._entries[x.id].uses == []
+        assert tracker.lifetime_bounds(x.id) == (0, 2)
+        tracker.detach()
+
+    def test_refresh_keeps_segments_when_only_the_use_order_differs(self):
+        """Consumers placed against their out-edge order leave the uses
+        in placement order; an edge event's full refresh lists them in
+        out-edge order, and the built segments stand."""
+        from repro.graph.builder import LoopBuilder
+        from repro.machine.resources import OpKind
+
+        b = LoopBuilder("use-order")
+        x = b.load(array=0)
+        first = b.add(x)
+        second = b.add(x)
+        graph = b.build()
+        tracker = self._replay(
+            graph, [("place", x, 0), ("place", second, 6), ("place", first, 3)]
+        )
+        entry = tracker._entries[x.id]
+        segments = tracker._segments(entry)
+        assert [u[1] for u in entry.uses] == [second.id, first.id]
+        # A REG edge to an unscheduled consumer changes no use.
+        sink = graph.new_node(OpKind.ADD)
+        graph.add_edge(x.id, sink.id)
+        assert [u[1] for u in entry.uses] == [first.id, second.id]
+        assert entry.segments is segments
+        tracker.detach()
+
+    def test_stress_loop_runs_self_check_clean(self, monkeypatch):
+        """stress3 of population seed 7001 under the geometric search:
+        churn-heavy attempts that the workbench sample never reaches."""
+        from repro.core.params import MirsParams
+        from repro.workloads.stress import stress_suite
+
+        monkeypatch.setattr(pressure_module, "SELF_CHECK", True)
+        graph = stress_suite(4, 7001)[3]
+        result = MirsC(
+            UNIFIED, params=MirsParams(ii_search="geometric"), strict=False
+        ).schedule(graph)
+        assert result.converged
